@@ -28,6 +28,8 @@
 //! assert_eq!(t.bound(), Bound::Memory); // bandwidth-limited
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod amx;
 pub mod counters;
 pub mod device;

@@ -8,6 +8,7 @@ use hb_accel::device::DeviceProfile;
 use hb_accel::perf::{estimate, TimeEstimate};
 use hb_exec::buffer::{ExecError, ExecResult};
 use hb_exec::Interp;
+use hb_ir::stmt::Stmt;
 use hb_ir::types::MemoryType;
 use hb_lang::lower::{lower, Lowered};
 use hb_lang::Pipeline;
@@ -53,14 +54,10 @@ pub fn compile_and_run_with(
         .compile(&lowered)
         .map_err(|e| ExecError(e.to_string()))?;
     let compile_time = started.elapsed();
-
-    let mut it = Interp::new();
-    alloc_io(&mut it, &lowered, inputs)?;
-    it.run_kernel(&result.program)?;
-    let output = it.mem.snapshot(&lowered.output_name)?;
+    let (output, counters) = execute(&lowered, &result.program, inputs)?;
     Ok(RunResult {
         output,
-        counters: it.counters(),
+        counters,
         selection: Some(result.report),
         compile_time,
     })
@@ -83,16 +80,32 @@ pub fn compile_and_run(
     let started = Instant::now();
     let lowered = lower(pipeline).map_err(|e| ExecError(e.to_string()))?;
     let compile_time = started.elapsed();
-    let mut it = Interp::new();
-    alloc_io(&mut it, &lowered, inputs)?;
-    it.run_kernel(&lowered.stmt)?;
-    let output = it.mem.snapshot(&lowered.output_name)?;
+    let (output, counters) = execute(&lowered, &lowered.stmt, inputs)?;
     Ok(RunResult {
         output,
-        counters: it.counters(),
+        counters,
         selection: None,
         compile_time,
     })
+}
+
+/// Executes `program` — `lowered`'s statement or any selection of it —
+/// on the simulator with the given inputs, returning the output buffer
+/// and the execution's cost counters.
+///
+/// # Errors
+///
+/// Fails on input-size mismatches or execution errors.
+pub fn execute(
+    lowered: &Lowered,
+    program: &Stmt,
+    inputs: &[(&str, &[f64])],
+) -> ExecResult<(Vec<f64>, CostCounters)> {
+    let mut it = Interp::new();
+    alloc_io(&mut it, lowered, inputs)?;
+    it.run_kernel(program)?;
+    let output = it.mem.snapshot(&lowered.output_name)?;
+    Ok((output, it.counters()))
 }
 
 /// Lowers and selects through a caller-provided session without executing

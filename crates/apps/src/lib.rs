@@ -4,6 +4,8 @@
 //! and schedules in `hb-lang`, instruction selection by `hardboiled`,
 //! functional execution and cost measurement in `hb-exec`/`hb-accel`.
 
+#![forbid(unsafe_code)]
+
 pub mod baselines;
 pub mod conv1d;
 pub mod conv2d;

@@ -5,6 +5,8 @@
 //! same rows/series the paper reports; EXPERIMENTS.md records the
 //! paper-vs-measured comparison.
 
+#![forbid(unsafe_code)]
+
 pub mod guard;
 pub mod micro;
 pub mod workloads;

@@ -1,7 +1,7 @@
 //! The shared benchmark workload pool and bench-CLI helpers.
 //!
 //! `eqsat_saturation` (engine/selector trajectory, `BENCH_eqsat.json`)
-//! and `serve_throughput` (service + intra-compile parallelism,
+//! and `serve_throughput` (compile service, cache and warm starts,
 //! `BENCH_serve.json`) measure the **same** conv1d / conv2d / GEMM /
 //! AMX-MatMul pool so their numbers compose: the suite the service fans
 //! across workers is the suite whose stage times the engine bench breaks
@@ -181,15 +181,16 @@ pub fn threads_flag(args: &[String], default: usize) -> usize {
 /// Cores visible to this process ([`std::thread::available_parallelism`],
 /// so cgroup/affinity limits count). Recorded in every bench JSON so
 /// wall-clock numbers taken on different machines stay interpretable —
-/// on a 1-core runner a parallel win is *impossible* and the benches
-/// assert wins only when this is ≥ 2.
+/// on a 1-core runner a multi-worker win is *impossible* and the
+/// service bench asserts wins only when this is ≥ 2.
 #[must_use]
 pub fn cores() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// The `"metadata"` JSON object both bench files embed: the thread knob
-/// the run was configured with and the cores it actually had.
+/// The `"metadata"` JSON object both bench files embed: the thread count
+/// the run was configured with (service workers, or 1 for the serial
+/// engine bench) and the cores it actually had.
 #[must_use]
 pub fn metadata_json(threads: usize) -> String {
     format!(

@@ -7,6 +7,7 @@
 //! rests on.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use hardboiled::cache::canonical_text;
 use hardboiled::movement::Placements;
@@ -16,6 +17,7 @@ use hb_apps::gemm_wmma::GemmWmma;
 use hb_bench::workloads::{saturation_pool, workloads};
 use hb_ir::stmt::Stmt;
 use hb_lang::lower::lower;
+use hb_obs::NullSink;
 
 fn batched() -> Session {
     Session::builder()
@@ -160,10 +162,14 @@ fn policy_fingerprints_separate_targets_policies_and_budgets() {
         }
     }
 
-    // Stability and the deliberate thread-count exclusion.
+    // Stability and the deliberate observer exclusion: a profile sink
+    // watches a compile but never changes it.
     let one = Session::builder().build().unwrap();
     let again = Session::builder().build().unwrap();
-    let threaded = Session::builder().compile_threads(4).build().unwrap();
+    let profiled = Session::builder()
+        .profile_sink(Arc::new(NullSink))
+        .build()
+        .unwrap();
     assert_eq!(one.policy_fingerprint(), again.policy_fingerprint());
-    assert_eq!(one.policy_fingerprint(), threaded.policy_fingerprint());
+    assert_eq!(one.policy_fingerprint(), profiled.policy_fingerprint());
 }

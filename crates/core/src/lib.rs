@@ -55,9 +55,8 @@
 //! top: one long-lived session per registered target, `compile` /
 //! `compile_suite` requests fanned across `std::thread` workers with
 //! per-request panic isolation and a drain/shutdown path — see
-//! [`service`]. Intra-compile parallelism (parallel rule search and
-//! extraction readouts) is the orthogonal
-//! [`SessionBuilder::compile_threads`] knob.
+//! [`service`]. Parallelism lives only there: each compile call runs on
+//! the thread that makes it.
 //!
 //! Because compilation is deterministic, repeated work can be memoized:
 //! the [`cache`] subsystem adds a bounded content-addressed
@@ -100,6 +99,8 @@
 //!
 //! The pre-`Session` free functions ([`selector::select`] and friends)
 //! remain as deprecated shims with byte-identical outputs.
+
+#![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod cost;

@@ -50,20 +50,8 @@
 //! session concurrently, and each call's output is byte-identical to
 //! what a serial caller would get — this is the contract
 //! [`crate::service::CompileService`] builds on (one long-lived session
-//! per registered target, fanned across a worker pool).
-//!
-//! Orthogonally, [`SessionBuilder::compile_threads`] parallelizes the
-//! *inside* of a single compile call: per-leaf saturations
-//! ([`Batching::PerLeaf`]) and per-root extraction readouts are
-//! partitioned across `std::thread::scope` workers, and the shared
-//! saturation run ([`Batching::Batched`]) searches rules across the
-//! engine's `SearchPool` (snapshot-search, serial-apply — see the
-//! `hb-egraph` crate docs). All of it preserves the byte-identity
-//! oracles: results and reports match the single-threaded compile
-//! exactly, only wall-clock changes. A worker panic is re-raised on the
-//! calling thread after every sibling finishes, so the session's
-//! `catch_unwind` degradation ladder behaves as if the panic had
-//! happened serially.
+//! per registered target, fanned across a worker pool). A single compile
+//! call runs entirely on its calling thread.
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -72,7 +60,6 @@ use std::time::{Duration, Instant};
 
 use hb_accel::target::{ExtractionPolicy, SimTarget, Target};
 use hb_egraph::extract::{DagCostExtractor, Extract, SharedTableExtractor, WorklistExtractor};
-use hb_egraph::pool::SearchPool;
 use hb_egraph::schedule::{Budget, CancelToken, RunReport, Runner, WarmStart};
 use hb_egraph::unionfind::Id;
 use hb_ir::expr::Expr;
@@ -173,8 +160,6 @@ pub enum BuildError {
     InvalidDeadline,
     /// `match_budget` must be at least 1.
     InvalidMatchBudget,
-    /// `compile_threads` must be at least 1.
-    InvalidThreads,
     /// [`crate::service::CompileServiceBuilder::worker_threads`] must be
     /// at least 1.
     InvalidWorkers,
@@ -200,7 +185,6 @@ impl fmt::Display for BuildError {
             BuildError::InvalidNodeLimit => write!(f, "node_limit must be at least 1"),
             BuildError::InvalidDeadline => write!(f, "deadline must be a non-zero duration"),
             BuildError::InvalidMatchBudget => write!(f, "match_budget must be at least 1"),
-            BuildError::InvalidThreads => write!(f, "compile_threads must be at least 1"),
             BuildError::InvalidWorkers => write!(f, "worker_threads must be at least 1"),
             BuildError::InvalidQueueCapacity => write!(f, "queue_capacity must be at least 1"),
             BuildError::DuplicateTarget(name) => {
@@ -533,7 +517,6 @@ pub struct SessionBuilder {
     match_budget: Option<usize>,
     runner: Option<Runner>,
     naive_matcher: bool,
-    threads: Option<usize>,
     cache: Option<Arc<ReportCache>>,
     tracer: Option<Tracer>,
     metrics: Option<Arc<MetricsRegistry>>,
@@ -557,7 +540,6 @@ impl SessionBuilder {
             match_budget: None,
             runner: None,
             naive_matcher: false,
-            threads: None,
             cache: None,
             tracer: None,
             metrics: None,
@@ -685,18 +667,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Threads for intra-compile parallelism (default 1 — fully serial).
-    /// `N > 1` partitions per-leaf saturations and per-root extraction
-    /// readouts across `N` scoped threads and runs parallel rule search
-    /// inside shared saturation runs; outputs and reports stay
-    /// byte-identical to the serial compile (see the module docs). Zero
-    /// is a [`BuildError::InvalidThreads`].
-    #[must_use]
-    pub fn compile_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
-        self
-    }
-
     /// Full control over the saturation [`Runner`] (overrides
     /// `node_limit` / `naive_matcher`).
     #[must_use]
@@ -784,9 +754,6 @@ impl SessionBuilder {
         if self.match_budget == Some(0) {
             return Err(BuildError::InvalidMatchBudget);
         }
-        if self.threads == Some(0) {
-            return Err(BuildError::InvalidThreads);
-        }
         let batching = self.batching.unwrap_or_default();
         let target = self.target.unwrap_or_else(|| Box::new(SimTarget::new()));
         let cost = self
@@ -806,19 +773,6 @@ impl SessionBuilder {
         }
         if let Some(sink) = self.profile_sink {
             runner.profile_sink = Some(ProfileHandle::new(sink));
-        }
-        let threads = self.threads.unwrap_or(1);
-        if self.threads.is_some() {
-            // Explicit knob wins over whatever a custom runner carried;
-            // an untouched knob leaves a custom runner's choice alone.
-            runner.search_threads = threads;
-        }
-        if runner.search_threads > 1 && runner.shared_pool.is_none() {
-            // One search pool for the session's lifetime: every shared
-            // saturation run of every compile reuses it instead of
-            // spawning (and joining) a fresh pool per run.
-            let pool = Arc::new(SearchPool::new(runner.search_threads));
-            runner = runner.with_shared_pool(pool);
         }
         let extraction = self
             .extraction
@@ -843,7 +797,6 @@ impl SessionBuilder {
             deadline: self.deadline,
             match_budget: self.match_budget,
             runner,
-            threads,
             rules: OnceLock::new(),
             cache: self.cache,
             tracer: self.tracer.unwrap_or_default(),
@@ -967,7 +920,6 @@ pub struct Session {
     deadline: Option<Duration>,
     match_budget: Option<usize>,
     runner: Runner,
-    threads: usize,
     rules: OnceLock<RuleSet>,
     cache: Option<Arc<ReportCache>>,
     tracer: Tracer,
@@ -991,7 +943,6 @@ impl fmt::Debug for Session {
             .field("batching", &self.batching)
             .field("extraction", &self.extraction)
             .field("outer_iters", &self.outer_iters)
-            .field("threads", &self.threads)
             .finish_non_exhaustive()
     }
 }
@@ -1034,7 +985,6 @@ impl Session {
             deadline: None,
             match_budget: None,
             runner,
-            threads: 1,
             rules: OnceLock::new(),
             cache: None,
             tracer: Tracer::disabled(),
@@ -1054,13 +1004,6 @@ impl Session {
     #[must_use]
     pub fn batching(&self) -> Batching {
         self.batching
-    }
-
-    /// The session's intra-compile thread count (see
-    /// [`SessionBuilder::compile_threads`]).
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// The session's extraction policy (builder override, else the
@@ -1153,24 +1096,6 @@ impl Session {
             ExtractionPolicy::DagCost => Box::new(DagCostExtractor::new(eg, cost)),
             ExtractionPolicy::Auto | ExtractionPolicy::Worklist => {
                 Box::new(WorklistExtractor::new(eg, cost))
-            }
-        }
-    }
-
-    /// The resolved strategy when it is shareable across readout threads
-    /// (`None` for the shared-table strategy, whose term bank is a
-    /// single-threaded `RefCell` — its readouts stay serial).
-    fn build_sync_extractor<'g>(
-        &'g self,
-        eg: &'g HbGraph,
-        batched: bool,
-    ) -> Option<Box<dyn Extract<HbLang> + Sync + 'g>> {
-        let cost = ModelCost(self.cost.as_ref());
-        match self.resolved_extraction(batched) {
-            ExtractionPolicy::SharedTable => None,
-            ExtractionPolicy::DagCost => Some(Box::new(DagCostExtractor::new(eg, cost))),
-            ExtractionPolicy::Auto | ExtractionPolicy::Worklist => {
-                Some(Box::new(WorklistExtractor::new(eg, cost)))
             }
         }
     }
@@ -1873,69 +1798,29 @@ impl Session {
     ) -> Vec<Stmt> {
         // One cost table serves every root; the resolved strategy (Auto →
         // shared-table here) additionally shares readout work across roots
-        // through its term bank. With `compile_threads > 1` and a
-        // thread-shareable strategy, the per-root readouts partition into
-        // contiguous chunks across scoped workers and fold back in root
-        // order — byte-identical to the serial loop, since each readout
-        // depends only on the settled cost table.
+        // through its term bank.
         let mut extract_span = self.tracer.span("extract");
         extract_span.attr("roots", roots.len());
-        let threads = self.threads.min(roots.len());
-        let sync_extractor = if threads > 1 {
-            self.build_sync_extractor(eg, true)
-        } else {
-            None
-        };
-        let (stats, readouts) = match &sync_extractor {
-            Some(extractor) => {
-                let ex: &(dyn Extract<HbLang> + Sync) = extractor.as_ref();
-                let pairs: Vec<(Id, &Stmt)> = roots.iter().copied().zip(leaves).collect();
-                let chunk = pairs.len().div_ceil(threads);
-                let readouts: Vec<RootReadout> = std::thread::scope(|s| {
-                    let handles: Vec<_> = pairs
-                        .chunks(chunk)
-                        .map(|c| {
-                            s.spawn(move || {
-                                c.iter()
-                                    .map(|&(root, original)| readout_root(ex, root, original))
-                                    .collect::<Vec<_>>()
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                        .collect()
-                });
-                (extractor.stats(), readouts)
-            }
-            None => {
-                let extractor = self.build_extractor(eg, true);
-                let readouts = roots
-                    .iter()
-                    .zip(leaves)
-                    .map(|(&root, original)| readout_root(extractor.as_ref(), root, original))
-                    .collect();
-                (extractor.stats(), readouts)
-            }
-        };
-        let mut extraction = ExtractionReport {
-            strategy: stats.strategy,
-            ..ExtractionReport::default()
-        };
-        let selected: Vec<Stmt> = readouts
-            .into_iter()
-            .zip(leaves)
-            .map(|(r, original)| {
-                let materialized = fold_readout(r, &mut extraction, &mut report.outcome);
-                report.stmts.push(StmtReport {
-                    original: original.to_string(),
-                    lowered: !stmt_has_movement(&materialized),
-                    eqsat: RunReport::default(),
-                });
-                materialized
-            })
-            .collect();
+        let extractor = self.build_extractor(eg, true);
+        let mut extraction = ExtractionReport::default();
+        let mut selected = Vec::with_capacity(roots.len());
+        for (&root, original) in roots.iter().zip(leaves) {
+            let materialized = readout_root(
+                extractor.as_ref(),
+                root,
+                original,
+                &mut extraction,
+                &mut report.outcome,
+            );
+            report.stmts.push(StmtReport {
+                original: original.to_string(),
+                lowered: !stmt_has_movement(&materialized),
+                eqsat: RunReport::default(),
+            });
+            selected.push(materialized);
+        }
+        let stats = extractor.stats();
+        extraction.strategy = stats.strategy;
         extraction.table_entries = stats.table_entries;
         extraction.bank_nodes = stats.bank_nodes;
         extraction.reused_readouts = stats.reused_readouts;
@@ -1946,14 +1831,7 @@ impl Session {
 
     /// Per-leaf mode: a fresh e-graph per leaf, saturated and extracted
     /// independently (the reference mode batched outputs are asserted
-    /// against). With `compile_threads > 1` the leaves partition into
-    /// contiguous chunks across scoped threads — each leaf is already an
-    /// independent encode → saturate → extract unit, so only the report
-    /// folding (done here, in leaf order) ever touches shared state, and
-    /// the results are byte-identical to the serial loop. Stage timings
-    /// then sum the per-leaf work across threads (aggregate work time,
-    /// not wall-clock). A panicking leaf re-raises on this thread after
-    /// its siblings finish, feeding the usual `catch_unwind` ladder.
+    /// against).
     fn saturate_per_leaf(
         &self,
         leaves: &[Stmt],
@@ -1961,131 +1839,49 @@ impl Session {
         budget: Budget,
         report: &mut CompileReport,
     ) -> Vec<Stmt> {
-        let threads = self.threads.min(leaves.len());
-        let outs: Vec<LeafOut> = if threads > 1 {
-            // Each leaf's saturation searches serially: the leaves
-            // themselves are the parallel grain here (nesting a search
-            // pool per leaf would oversubscribe the cores).
-            let runner = self.runner.clone().with_search_threads(1);
-            let chunk = leaves.len().div_ceil(threads);
-            let budget = &budget;
-            std::thread::scope(|s| {
-                let handles: Vec<_> = leaves
-                    .chunks(chunk)
-                    .map(|c| {
-                        let runner = &runner;
-                        s.spawn(move || {
-                            c.iter()
-                                .map(|stmt| self.compile_leaf(runner, stmt, rules, budget.clone()))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                    .collect()
-            })
-        } else {
-            leaves
-                .iter()
-                .map(|stmt| self.compile_leaf(&self.runner, stmt, rules, budget.clone()))
-                .collect()
-        };
-
         let mut extraction: Option<ExtractionReport> = None;
-        let selected: Vec<Stmt> = outs
-            .into_iter()
-            .map(|out| {
-                report.stages.encode += out.encode;
-                report.stages.saturate += out.saturate;
-                report.stages.extract += out.extract;
-                report.outcome = report.outcome.worst(CompileOutcome::of_run(&out.run));
-                let agg = extraction.get_or_insert_with(|| ExtractionReport {
-                    strategy: out.strategy,
-                    ..ExtractionReport::default()
-                });
-                let materialized = fold_readout(out.readout, agg, &mut report.outcome);
-                agg.table_entries += out.table_entries;
-                agg.bank_nodes += out.bank_nodes;
-                agg.reused_readouts += out.reused_readouts;
-                report.stmts.push(StmtReport {
-                    original: out.original,
-                    lowered: !stmt_has_movement(&materialized),
-                    eqsat: out.run,
-                });
-                materialized
-            })
-            .collect();
+        let mut selected = Vec::with_capacity(leaves.len());
+        for stmt in leaves {
+            let encode_span = self.tracer.span("encode");
+            let mut eg = HbGraph::default();
+            crate::rules::app_specific::declare_relations(&mut eg);
+            let root = encode_stmt(&mut eg, stmt);
+            report.stages.encode += encode_span.finish();
+
+            let mut saturate_span = self.tracer.span("saturate");
+            let run = self.runner.run_phased_budgeted(
+                &mut eg,
+                &rules.main,
+                &rules.support,
+                self.outer_iters,
+                budget.clone(),
+            );
+            saturate_span.attr("iterations", run.iterations);
+            saturate_span.attr("applied", run.applied);
+            report.stages.saturate += saturate_span.finish();
+            report.outcome = report.outcome.worst(CompileOutcome::of_run(&run));
+
+            let extract_span = self.tracer.span("extract");
+            let extractor = self.build_extractor(&eg, false);
+            let agg = extraction.get_or_insert_with(ExtractionReport::default);
+            let materialized =
+                readout_root(extractor.as_ref(), root, stmt, agg, &mut report.outcome);
+            let stats = extractor.stats();
+            agg.strategy = stats.strategy;
+            agg.table_entries += stats.table_entries;
+            agg.bank_nodes += stats.bank_nodes;
+            agg.reused_readouts += stats.reused_readouts;
+            report.stages.extract += extract_span.finish();
+            report.stmts.push(StmtReport {
+                original: stmt.to_string(),
+                lowered: !stmt_has_movement(&materialized),
+                eqsat: run,
+            });
+            selected.push(materialized);
+        }
         report.extraction = extraction;
         selected
     }
-
-    /// One leaf through encode → saturate → extract on a fresh e-graph,
-    /// touching no shared state — the unit [`Session::saturate_per_leaf`]
-    /// runs serially or fans across threads.
-    fn compile_leaf(
-        &self,
-        runner: &Runner,
-        stmt: &Stmt,
-        rules: &RuleSet,
-        budget: Budget,
-    ) -> LeafOut {
-        // With `compile_threads > 1` these spans open on a scoped worker
-        // thread, where the calling thread's span stack is not visible —
-        // they record as roots there (the span stack is thread-local by
-        // design; see the `hb_obs` crate docs).
-        let encode_span = self.tracer.span("encode");
-        let mut eg = HbGraph::default();
-        crate::rules::app_specific::declare_relations(&mut eg);
-        let root = encode_stmt(&mut eg, stmt);
-        let encode = encode_span.finish();
-
-        let mut saturate_span = self.tracer.span("saturate");
-        let run = runner.run_phased_budgeted(
-            &mut eg,
-            &rules.main,
-            &rules.support,
-            self.outer_iters,
-            budget,
-        );
-        saturate_span.attr("iterations", run.iterations);
-        saturate_span.attr("applied", run.applied);
-        let saturate = saturate_span.finish();
-
-        let extract_span = self.tracer.span("extract");
-        let extractor = self.build_extractor(&eg, false);
-        let readout = readout_root(extractor.as_ref(), root, stmt);
-        let stats = extractor.stats();
-        let extract = extract_span.finish();
-        LeafOut {
-            readout,
-            original: stmt.to_string(),
-            run,
-            encode,
-            saturate,
-            extract,
-            strategy: stats.strategy,
-            table_entries: stats.table_entries,
-            bank_nodes: stats.bank_nodes,
-            reused_readouts: stats.reused_readouts,
-        }
-    }
-}
-
-/// Everything one per-leaf compile produces, folded into the report in
-/// leaf order by [`Session::saturate_per_leaf`].
-struct LeafOut {
-    readout: RootReadout,
-    original: String,
-    run: RunReport,
-    encode: Duration,
-    saturate: Duration,
-    extract: Duration,
-    strategy: &'static str,
-    table_entries: usize,
-    bank_nodes: usize,
-    reused_readouts: usize,
 }
 
 /// The internal result of one `compile_programs` pipeline run: selected
@@ -2152,66 +1948,42 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// One root's readout, computed independently of any report state — the
-/// unit both the serial loops and the parallel readout partitions produce,
-/// folded into the report in root order by [`fold_readout`].
-struct RootReadout {
-    /// The selected statement (or the original, on a fallback).
-    stmt: Stmt,
-    /// Extraction cost of the root (`None`: no constructible term).
-    cost: Option<u64>,
-    /// Whether this root fell back to its original statement.
-    fallback: bool,
-    /// Wall-clock of the term readout itself (cost lookup + extraction;
-    /// decoding and materialization cost the same under any strategy and
-    /// are excluded, matching [`ExtractionReport::readout_time`]).
-    elapsed: Duration,
-}
-
 /// Extracts, decodes and post-processes one saturated root back into a
-/// statement. Non-constructible roots, undecodable terms and malformed
+/// statement, accounting the root's cost and readout time into
+/// `extraction`. Non-constructible roots, undecodable terms and malformed
 /// materializations fall back to the original (annotated, unoptimized)
-/// statement; the caller demotes the compile outcome when `fallback` is
-/// set.
-fn readout_root(extractor: &dyn Extract<HbLang>, root: Id, original: &Stmt) -> RootReadout {
+/// statement and demote `outcome` to [`CompileOutcome::FallbackUnoptimized`].
+fn readout_root(
+    extractor: &dyn Extract<HbLang>,
+    root: Id,
+    original: &Stmt,
+    extraction: &mut ExtractionReport,
+    outcome: &mut CompileOutcome,
+) -> Stmt {
+    // Only the term readout itself (cost lookup + extraction) is timed:
+    // decoding and materialization cost the same under any strategy and
+    // are excluded, matching [`ExtractionReport::readout_time`].
     let readout_started = Instant::now();
     let cost = extractor.cost_of(root);
     // A root with no constructible term (possible only for custom
     // pipelines encoding cyclic-only classes) keeps its original form —
     // extract() would panic on it.
     let term = cost.is_some().then(|| extractor.extract(root));
-    let elapsed = readout_started.elapsed();
+    extraction.readout_time += readout_started.elapsed();
+    extraction.root_costs.push(cost);
     let decoded = match term.as_ref().map(decode_stmt) {
         Some(Ok(s)) => Some(s),
         Some(Err(_)) | None => None,
     };
     // The original has no `__expr_var` markers, so materialization on the
     // fallback path would be an identity — return it directly.
-    let materialized = decoded.and_then(|d| try_materialize_stmt(&d).ok());
-    let fallback = materialized.is_none();
-    RootReadout {
-        stmt: materialized.unwrap_or_else(|| original.clone()),
-        cost,
-        fallback,
-        elapsed,
+    match decoded.and_then(|d| try_materialize_stmt(&d).ok()) {
+        Some(stmt) => stmt,
+        None => {
+            *outcome = outcome.worst(CompileOutcome::FallbackUnoptimized);
+            original.clone()
+        }
     }
-}
-
-/// Accounts one [`RootReadout`] into the extraction report and the
-/// compile's outcome ladder, returning the selected statement. Called in
-/// root order whichever thread produced the readout, so the report is
-/// identical to a serial run's.
-fn fold_readout(
-    r: RootReadout,
-    extraction: &mut ExtractionReport,
-    outcome: &mut CompileOutcome,
-) -> Stmt {
-    extraction.root_costs.push(r.cost);
-    extraction.readout_time += r.elapsed;
-    if r.fallback {
-        *outcome = outcome.worst(CompileOutcome::FallbackUnoptimized);
-    }
-    r.stmt
 }
 
 fn expr_has_movement(e: &Expr) -> bool {
@@ -2294,65 +2066,6 @@ mod tests {
         for h in handles {
             assert_eq!(h.join().unwrap(), 1);
         }
-    }
-
-    /// A block of distinct accelerator-touching leaves, so both the
-    /// per-leaf fan-out and the per-root readout partition actually split
-    /// work when `compile_threads > 1`.
-    fn multi_leaf_block(leaves: usize) -> Stmt {
-        let stmts = (0..leaves)
-            .map(|i| {
-                let idx = b::ramp(b::int(i64::try_from(i).unwrap()), b::int(1), 8);
-                let ld = b::load(
-                    hb_ir::types::Type::f32().with_lanes(8),
-                    &format!("x{i}"),
-                    idx.clone(),
-                );
-                b::allocate(
-                    &format!("acc{i}"),
-                    ScalarType::F32,
-                    8,
-                    MemoryType::AmxTile,
-                    b::store(&format!("acc{i}"), idx, b::mul(ld.clone(), ld)),
-                )
-            })
-            .collect();
-        b::block(stmts)
-    }
-
-    #[test]
-    fn parallel_compile_is_byte_identical_to_serial() {
-        let program = multi_leaf_block(5);
-        for batching in [Batching::PerLeaf, Batching::Batched] {
-            let serial = Session::builder().batching(batching).build().unwrap();
-            let parallel = Session::builder()
-                .batching(batching)
-                .compile_threads(3)
-                .build()
-                .unwrap();
-            let a = serial.compile(&program).unwrap();
-            let b = parallel.compile(&program).unwrap();
-            assert_eq!(
-                a.program.to_string(),
-                b.program.to_string(),
-                "{batching:?} outputs must not depend on compile_threads"
-            );
-            assert_eq!(a.report.num_statements(), b.report.num_statements());
-            assert_eq!(a.report.outcome, b.report.outcome);
-            let (ea, eb) = (
-                a.report.extraction.as_ref().unwrap(),
-                b.report.extraction.as_ref().unwrap(),
-            );
-            assert_eq!(ea.strategy, eb.strategy);
-            assert_eq!(ea.root_costs, eb.root_costs);
-            assert_eq!(ea.table_entries, eb.table_entries);
-        }
-    }
-
-    #[test]
-    fn zero_compile_threads_is_rejected() {
-        let err = Session::builder().compile_threads(0).build().unwrap_err();
-        assert_eq!(err, BuildError::InvalidThreads);
     }
 
     #[test]

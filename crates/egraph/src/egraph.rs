@@ -20,10 +20,7 @@
 //!   since epoch `e`" an O(changes-to-`k`) query
 //!   ([`EGraph::modified_candidates_for`]). A class-level epoch (the max
 //!   over its rows) and a global log are kept alongside: they serve
-//!   variable-rooted patterns, the scheduler's quiescence check, and the
-//!   retained per-class read path
-//!   ([`EGraph::modified_candidates_per_class`], the
-//!   [`DeltaTracking::PerClass`] A/B baseline).
+//!   variable-rooted patterns and the scheduler's quiescence check.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::Debug;
@@ -35,26 +32,6 @@ use crate::snapshot::{
     SnapshotWriter,
 };
 use crate::unionfind::{Id, UnionFind};
-
-/// Which change-tracking granularity a delta search reads.
-///
-/// Both granularities are maintained by every graph; this only selects the
-/// read path. [`DeltaTracking::OpKeyed`] probes the per-`(class, op_key)`
-/// rows — a pattern rooted at operator `k` re-probes only classes whose
-/// `k` rows changed. [`DeltaTracking::PerClass`] is the pre-op-keying
-/// behavior (any change to a class re-probes it for every root operator it
-/// contains), retained as the A/B baseline the same way the naive matcher
-/// is retained (`Runner::use_per_class_deltas`). Match sets are identical;
-/// only the number of probed rows differs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DeltaTracking {
-    /// Probe per-`(class, op_key)` rows (the default).
-    #[default]
-    OpKeyed,
-    /// Probe per-class epochs intersected with the operator index — the
-    /// pre-op-keying baseline.
-    PerClass,
-}
 
 /// An e-class analysis: a lattice value maintained per e-class
 /// (constants, types, …). See egg's `Analysis`.
@@ -378,36 +355,6 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         let mut out: Vec<Id> = log[start..].iter().map(|&(_, id)| self.find(id)).collect();
         out.sort_unstable();
         out.dedup();
-        out
-    }
-
-    /// [`EGraph::modified_since`] restricted to classes that contain a node
-    /// with the given [`Language::op_key`] — the retained **per-class**
-    /// delta-probe enumeration ([`DeltaTracking::PerClass`]): any change to
-    /// a class re-surfaces it for every root operator it contains.
-    /// Sorted-merge intersection of the global log tail with the operator
-    /// index row; empty tail short-circuits to zero work. Always a
-    /// superset of [`EGraph::modified_candidates_for`] at the same cutoff.
-    #[must_use]
-    pub fn modified_candidates_per_class(&self, key: u64, cutoff: u64) -> Vec<Id> {
-        let tail = self.modified_since(cutoff);
-        if tail.is_empty() {
-            return tail;
-        }
-        let row: &[Id] = self.candidates_for(key);
-        let mut out = Vec::with_capacity(tail.len().min(row.len()));
-        let (mut i, mut j) = (0, 0);
-        while i < tail.len() && j < row.len() {
-            match tail[i].cmp(&row[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    out.push(tail[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
         out
     }
 
@@ -1359,7 +1306,7 @@ mod tests {
     fn op_rows_track_only_the_changed_operator() {
         // A class holding nodes of two operators with disjoint subtrees:
         // a change under one subtree must stamp only that operator's row,
-        // while the per-class baseline re-surfaces the class for both.
+        // while the class-level epoch still records the change.
         let mut eg = EG::new();
         let a = eg.add(Math::Sym("a".into()));
         let b = eg.add(Math::Sym("b".into()));
@@ -1388,9 +1335,8 @@ mod tests {
             "the untouched Mul row must not re-surface the class"
         );
         assert!(
-            eg.modified_candidates_per_class(mul_key, cutoff)
-                .contains(&u),
-            "the per-class baseline re-surfaces the class for every op it contains"
+            eg.modified_since(cutoff).contains(&u),
+            "the class-level log still records the modified class"
         );
         eg.check_op_epochs();
     }

@@ -30,39 +30,15 @@
 //! atom enumerates only classes whose `(class, op_key)` rows changed
 //! ([`crate::egraph::EGraph::modified_candidates_for`]), so activity
 //! confined to other operators — even in this atom's transitive ancestors
-//! — costs it nothing. The pre-op-keying read path (any modified class
-//! that contains the operator) is retained behind
-//! [`crate::egraph::DeltaTracking::PerClass`] as the A/B baseline; both
-//! paths produce identical match sets, and every probe records how many
-//! candidate rows it visited vs. skipped into the
-//! [`MatchScratch`] counters.
+//! — costs it nothing. Every probe records how many candidate rows it
+//! visited vs. skipped into the [`MatchScratch`] counters.
 
 use std::sync::Arc;
 
-use crate::egraph::{Analysis, DeltaTracking, EGraph};
+use crate::egraph::{Analysis, EGraph};
 use crate::language::Language;
 use crate::pattern::{CompiledNode, MatchScratch, Pattern, Subst};
-use crate::pool::SearchPool;
 use crate::unionfind::Id;
-
-/// Minimum root-enumeration size at which a parallel-context search
-/// actually partitions across the pool. Below it the scatter/barrier
-/// overhead (a few channel round-trips) exceeds the join work, so the
-/// search runs inline on the scheduler thread — bit-for-bit the serial
-/// path. Delta probes over quiescent regions are tiny and stay inline;
-/// first-iteration full searches over populated operator rows partition.
-pub(crate) const PARALLEL_MIN_ROOTS: usize = 64;
-
-/// Borrowed parallel-search context: the saturation run's worker pool and
-/// one [`MatchScratch`] per pool thread. Chunk *i* of a partitioned search
-/// always uses scratch *i*, so the probe counters and recycled buffers are
-/// never shared between workers.
-pub struct ParallelCtx<'a> {
-    /// Pool shared across every search of one saturation run.
-    pub pool: &'a SearchPool,
-    /// Per-worker scratch arenas (`len() >= pool.threads()`).
-    pub scratches: &'a mut [MatchScratch],
-}
 
 /// One atom of a rule's query.
 pub enum Atom<L> {
@@ -296,13 +272,7 @@ impl<L: Language> CompiledQuery<L> {
         egraph: &EGraph<L, N>,
         scratch: &mut MatchScratch,
     ) -> Vec<Subst> {
-        let rows = self.search_rows(
-            egraph,
-            &Restrict::Full,
-            DeltaTracking::OpKeyed,
-            scratch,
-            None,
-        );
+        let rows = self.search_rows(egraph, &Restrict::Full, scratch);
         self.rows_to_substs(rows)
     }
 
@@ -320,13 +290,7 @@ impl<L: Language> CompiledQuery<L> {
         } else {
             Restrict::Full
         };
-        let rows = self.search_rows(
-            egraph,
-            &restrict,
-            DeltaTracking::OpKeyed,
-            &mut MatchScratch::new(),
-            None,
-        );
+        let rows = self.search_rows(egraph, &restrict, &mut MatchScratch::new());
         self.rows_to_substs(rows)
     }
 
@@ -336,8 +300,16 @@ impl<L: Language> CompiledQuery<L> {
     /// delta-eligible queries; semi-naive rounds (one per atom) otherwise.
     /// May return a match that already existed (delta probes
     /// over-approximate); appliers are idempotent, so re-applying is
-    /// harmless. Probes are op-keyed; see
-    /// [`CompiledQuery::search_delta_tracked`] for the per-class baseline.
+    /// harmless.
+    ///
+    /// Semi-naive evaluation: round `i` restricts atom `i` to its delta,
+    /// and the join *starts* from that delta (the restricted atom is
+    /// evaluated first), so a round costs work proportional to its delta —
+    /// not a full re-join. A match is found by round `i` iff atom `i`'s
+    /// contribution is new, so the union over rounds covers every new
+    /// match; duplicates (matches with several new atoms) are deduplicated
+    /// by a deterministic sort. Rounds whose delta is provably empty are
+    /// skipped outright, which is what makes quiescent passes free.
     #[must_use]
     pub fn search_delta<N: Analysis<L>>(
         &self,
@@ -346,36 +318,8 @@ impl<L: Language> CompiledQuery<L> {
         rel_cutoff: u64,
         scratch: &mut MatchScratch,
     ) -> Vec<Subst> {
-        self.search_delta_tracked(
-            egraph,
-            epoch_cutoff,
-            rel_cutoff,
-            DeltaTracking::OpKeyed,
-            scratch,
-        )
-    }
-
-    /// [`CompiledQuery::search_delta`] with an explicit change-tracking
-    /// granularity — [`DeltaTracking::PerClass`] selects the retained
-    /// pre-op-keying probe as the A/B baseline. Identical match sets;
-    /// only the probed-row counts differ.
-    #[must_use]
-    pub fn search_delta_tracked<N: Analysis<L>>(
-        &self,
-        egraph: &EGraph<L, N>,
-        epoch_cutoff: u64,
-        rel_cutoff: u64,
-        tracking: DeltaTracking,
-        scratch: &mut MatchScratch,
-    ) -> Vec<Subst> {
         if self.delta_eligible {
-            let rows = self.search_rows(
-                egraph,
-                &Restrict::Root(epoch_cutoff),
-                tracking,
-                scratch,
-                None,
-            );
+            let rows = self.search_rows(egraph, &Restrict::Root(epoch_cutoff), scratch);
             return self.rows_to_substs(rows);
         }
         let classes_dirty = egraph.any_modified_since(epoch_cutoff);
@@ -399,116 +343,16 @@ impl<L: Language> CompiledQuery<L> {
                 epoch: epoch_cutoff,
                 rel_tick: rel_cutoff,
             };
-            rows.extend(self.search_rows(egraph, &restrict, tracking, scratch, None));
+            rows.extend(self.search_rows(egraph, &restrict, scratch));
         }
         self.dedup_round_rows(&mut rows, scratch);
         self.rows_to_substs(rows)
     }
 
-    /// [`CompiledQuery::search_delta_tracked`] with a parallel-search
-    /// context: the single-root probe of delta-eligible queries *and* each
-    /// semi-naive round's delta enumeration are partitioned across the
-    /// pool. Byte-identical to the serial search — see
-    /// `CompiledQuery::search_delta_rounds` (private) for why.
-    #[must_use]
-    pub fn search_delta_tracked_ctx<N: Analysis<L>>(
-        &self,
-        egraph: &EGraph<L, N>,
-        epoch_cutoff: u64,
-        rel_cutoff: u64,
-        tracking: DeltaTracking,
-        scratch: &mut MatchScratch,
-        ctx: &mut ParallelCtx<'_>,
-    ) -> Vec<Subst>
-    where
-        N::Data: Sync,
-    {
-        if self.delta_eligible {
-            return self.search_parallel(
-                egraph,
-                Restrict::Root(epoch_cutoff),
-                tracking,
-                scratch,
-                ctx,
-            );
-        }
-        self.search_delta_rounds(egraph, epoch_cutoff, rel_cutoff, tracking, scratch, ctx)
-    }
-
-    /// Semi-naive evaluation: round `i` restricts atom `i` to its delta,
-    /// and the join *starts* from that delta (the restricted atom is
-    /// evaluated first), so a round costs work proportional to its delta —
-    /// not a full re-join. A match is found by round `i` iff atom `i`'s
-    /// contribution is new, so the union over rounds covers every new
-    /// match; duplicates (matches with several new atoms) are deduplicated
-    /// below. Rounds whose delta is provably empty are skipped outright,
-    /// which is what makes quiescent passes free.
-    ///
-    /// With a [`ParallelCtx`], each pattern-atom round's delta enumeration
-    /// is computed once here (probe counters recorded on the scheduler's
-    /// scratch, exactly as the serial round records them) and partitioned
-    /// across the pool. This is byte-identical to the serial evaluation:
-    /// chunk-order concatenation reproduces the serial row order within
-    /// each round (the `first_roots` contract on `search_rows`), rounds
-    /// accumulate in the same atom order, and the final deterministic
-    /// `(round, enumeration, binding)`-ordered sort + dedup is shared with
-    /// the serial path — so the merged delta match set cannot depend on
-    /// the thread count. Relation-atom rounds have no root enumeration to
-    /// partition and always run serially; their deltas are log tails and
-    /// tiny by construction.
-    fn search_delta_rounds<N: Analysis<L>>(
-        &self,
-        egraph: &EGraph<L, N>,
-        epoch_cutoff: u64,
-        rel_cutoff: u64,
-        tracking: DeltaTracking,
-        scratch: &mut MatchScratch,
-        ctx: &mut ParallelCtx<'_>,
-    ) -> Vec<Subst>
-    where
-        N::Data: Sync,
-    {
-        let classes_dirty = egraph.any_modified_since(epoch_cutoff);
-        let rels_dirty = egraph.relations.tick() > rel_cutoff;
-        if !classes_dirty && !rels_dirty {
-            return Vec::new();
-        }
-        let mut rows: Vec<Vec<Option<Id>>> = Vec::new();
-        for (index, atom) in self.atoms.iter().enumerate() {
-            let restrict = Restrict::Atom {
-                index,
-                epoch: epoch_cutoff,
-                rel_tick: rel_cutoff,
-            };
-            match atom {
-                CompiledAtom::Pat { node, .. } => {
-                    if !classes_dirty {
-                        continue;
-                    }
-                    let roots = delta_roots(egraph, node, epoch_cutoff, tracking, scratch);
-                    rows.extend(
-                        self.rows_partitioned(egraph, restrict, tracking, scratch, ctx, &roots),
-                    );
-                }
-                CompiledAtom::Rel { name, .. } => {
-                    if !(rels_dirty && egraph.relations.changed_since(name, rel_cutoff)) {
-                        continue;
-                    }
-                    rows.extend(self.search_rows(egraph, &restrict, tracking, scratch, None));
-                }
-            }
-        }
-        self.dedup_round_rows(&mut rows, scratch);
-        self.rows_to_substs(rows)
-    }
-
-    /// The deterministic merge shared by the serial and parallel round
-    /// evaluations: a total-order sort over the accumulated round rows
-    /// followed by adjacent dedup (matches found by several rounds appear
-    /// once). Because both paths feed rows in the same round order with
-    /// the same per-round row order, sorting makes the merged result a
-    /// pure function of the match *set* — byte-identical at any thread
-    /// count.
+    /// The deterministic merge of the semi-naive rounds: a total-order
+    /// sort over the accumulated round rows followed by adjacent dedup
+    /// (matches found by several rounds appear once), so the merged result
+    /// is a pure function of the match *set*.
     fn dedup_round_rows(&self, rows: &mut Vec<Vec<Option<Id>>>, scratch: &mut MatchScratch) {
         rows.sort_unstable();
         rows.dedup_by(|a, b| {
@@ -528,23 +372,13 @@ impl<L: Language> CompiledQuery<L> {
             .collect()
     }
 
-    /// The join loop shared by every search mode. `first_roots`, when
-    /// given, overrides the *first evaluated atom's* root enumeration with
-    /// an explicit slice — the parallel path partitions the enumeration it
-    /// computed once into chunks and runs this loop per chunk, so the
-    /// concatenation of the chunk results in chunk order is exactly the
-    /// serial result (each atom maps partials to output runs in order; a
-    /// per-partial concat-map commutes with partitioning the seed list).
-    /// Probe counters are *not* recorded when `first_roots` is given; the
-    /// caller that computed the enumeration already recorded them.
+    /// The join loop shared by every search mode.
     #[allow(clippy::too_many_lines)]
     fn search_rows<N: Analysis<L>>(
         &self,
         egraph: &EGraph<L, N>,
         restrict: &Restrict,
-        tracking: DeltaTracking,
         scratch: &mut MatchScratch,
-        first_roots: Option<&[Id]>,
     ) -> Vec<Vec<Option<Id>>> {
         debug_assert!(egraph.is_clean(), "search requires a rebuilt e-graph");
         let nvars = self.vars.len();
@@ -559,7 +393,6 @@ impl<L: Language> CompiledQuery<L> {
             Restrict::Atom { index, .. } => Some(*index),
             _ => None,
         };
-        let first_atom = delta_first.unwrap_or(0);
         let order = delta_first
             .into_iter()
             .chain((0..self.atoms.len()).filter(|&j| Some(j) != delta_first));
@@ -609,30 +442,14 @@ impl<L: Language> CompiledQuery<L> {
                                         next.push(m);
                                     }
                                 };
-                            if let Some(roots) = first_roots.filter(|_| i == first_atom) {
-                                // Explicit chunk from the parallel path
-                                // (or the whole enumeration, computed by
-                                // the caller); probes already recorded.
-                                for &root in roots {
-                                    visit(root, &mut step, &mut next, scratch);
-                                }
-                            } else if let Some(cut) = enum_cutoff {
+                            if let Some(cut) = enum_cutoff {
                                 // Delta probe, keyed by the atom's root
                                 // operator: O(changes to that op's rows)
-                                // via the per-op log (or the retained
-                                // per-class log ∩ index row under the
-                                // baseline tracking), zero when the op was
+                                // via the per-op log, zero when the op was
                                 // quiet.
                                 let (roots, universe) = match node.root_key() {
                                     Some(key) => (
-                                        match tracking {
-                                            DeltaTracking::OpKeyed => {
-                                                egraph.modified_candidates_for(key, cut)
-                                            }
-                                            DeltaTracking::PerClass => {
-                                                egraph.modified_candidates_per_class(key, cut)
-                                            }
-                                        },
+                                        egraph.modified_candidates_for(key, cut),
                                         egraph.candidates_for(key).len(),
                                     ),
                                     None => (egraph.modified_since(cut), egraph.num_classes()),
@@ -719,123 +536,6 @@ impl<L: Language> CompiledQuery<L> {
         scratch.give_list(next);
         partials
     }
-
-    /// Full or single-root-delta search with the root enumeration
-    /// partitioned across a [`SearchPool`]. Byte-identical to the serial
-    /// search by construction: the enumeration is computed once here —
-    /// exactly as [`CompiledQuery::search_rows`] would, probe counters
-    /// recorded on the *scheduler's* scratch — then partitioned by
-    /// [`CompiledQuery::rows_partitioned`].
-    ///
-    /// Relation-rooted queries have no root enumeration to partition and
-    /// fall back to the serial join. Semi-naive rounds go through
-    /// [`CompiledQuery::search_delta_tracked_ctx`] instead, which computes
-    /// each round's delta enumeration before partitioning it the same way.
-    fn search_parallel<N: Analysis<L>>(
-        &self,
-        egraph: &EGraph<L, N>,
-        restrict: Restrict,
-        tracking: DeltaTracking,
-        scratch: &mut MatchScratch,
-        ctx: &mut ParallelCtx<'_>,
-    ) -> Vec<Subst>
-    where
-        N::Data: Sync,
-    {
-        debug_assert!(matches!(restrict, Restrict::Full | Restrict::Root(_)));
-        let Some(CompiledAtom::Pat { node, .. }) = self.atoms.first() else {
-            let rows = self.search_rows(egraph, &restrict, tracking, scratch, None);
-            return self.rows_to_substs(rows);
-        };
-        // The enumeration the serial path would perform at the first atom,
-        // computed once; for delta probes the probe counters are recorded
-        // here (once), exactly as the serial path records them.
-        let mut owned: Option<Vec<Id>> = None;
-        let roots: &[Id] = match restrict {
-            Restrict::Full => match node.root_key() {
-                Some(key) => egraph.candidates_for(key),
-                None => {
-                    let mut ids: Vec<Id> = egraph.classes().map(|c| c.id).collect();
-                    ids.sort_unstable();
-                    owned.insert(ids)
-                }
-            },
-            Restrict::Root(cut) => owned.insert(delta_roots(egraph, node, cut, tracking, scratch)),
-            Restrict::Atom { .. } => unreachable!("rounds go through search_delta_tracked_ctx"),
-        };
-        let rows = self.rows_partitioned(egraph, restrict, tracking, scratch, ctx, roots);
-        self.rows_to_substs(rows)
-    }
-
-    /// Runs the shared join loop over an explicitly computed first-atom
-    /// root enumeration, partitioned across the context's pool: the slice
-    /// is split into contiguous chunks, each chunk's join evaluated
-    /// against the immutable `&EGraph` snapshot with its own per-worker
-    /// scratch, and the chunk results concatenated in chunk order — which
-    /// is exactly the serial result (see the `first_roots` contract on
-    /// [`CompiledQuery::search_rows`]). Enumerations below
-    /// [`PARALLEL_MIN_ROOTS`] run inline on the caller — still through
-    /// the same override path, so the match order never depends on the
-    /// threshold. Probe counters are never recorded here; the caller that
-    /// computed the enumeration already recorded them.
-    fn rows_partitioned<N: Analysis<L>>(
-        &self,
-        egraph: &EGraph<L, N>,
-        restrict: Restrict,
-        tracking: DeltaTracking,
-        scratch: &mut MatchScratch,
-        ctx: &mut ParallelCtx<'_>,
-        roots: &[Id],
-    ) -> Vec<Vec<Option<Id>>>
-    where
-        N::Data: Sync,
-    {
-        let threads = ctx.pool.threads().min(ctx.scratches.len());
-        if threads < 2 || roots.len() < PARALLEL_MIN_ROOTS {
-            return self.search_rows(egraph, &restrict, tracking, scratch, Some(roots));
-        }
-        let chunks: Vec<&[Id]> = roots.chunks(roots.len().div_ceil(threads)).collect();
-        let mut outs: Vec<Vec<Vec<Option<Id>>>> = Vec::new();
-        outs.resize_with(chunks.len(), Vec::new);
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = chunks
-            .iter()
-            .zip(outs.iter_mut())
-            .zip(ctx.scratches.iter_mut())
-            .map(|((&chunk, out), scr)| {
-                Box::new(move || {
-                    *out = self.search_rows(egraph, &restrict, tracking, scr, Some(chunk));
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        ctx.pool.scatter(jobs);
-        // Chunk-order concatenation == serial match order (see above).
-        outs.into_iter().flatten().collect()
-    }
-}
-
-/// The delta enumeration the serial path performs for an unbound pattern
-/// root: classes whose root-operator rows were stamped at or after `cut`,
-/// with the probe counters recorded on `scratch` — once, exactly as the
-/// serial enumeration records them.
-fn delta_roots<L: Language, N: Analysis<L>>(
-    egraph: &EGraph<L, N>,
-    node: &CompiledNode<L>,
-    cut: u64,
-    tracking: DeltaTracking,
-    scratch: &mut MatchScratch,
-) -> Vec<Id> {
-    let (roots, universe) = match node.root_key() {
-        Some(key) => (
-            match tracking {
-                DeltaTracking::OpKeyed => egraph.modified_candidates_for(key, cut),
-                DeltaTracking::PerClass => egraph.modified_candidates_per_class(key, cut),
-            },
-            egraph.candidates_for(key).len(),
-        ),
-        None => (egraph.modified_since(cut), egraph.num_classes()),
-    };
-    scratch.record_probe(roots.len(), universe);
-    roots
 }
 
 /// Guard predicate evaluated on each match before application.
@@ -1002,86 +702,19 @@ impl<L: Language, N: Analysis<L>> Rewrite<L, N> {
     /// recorded cutoffs (`epoch_cutoff` from [`EGraph::bump_epoch`],
     /// `rel_cutoff` from [`crate::relation::Relations::tick`]) — single
     /// root probe for delta-eligible queries, semi-naive rounds otherwise.
-    /// `tracking` selects the probe granularity (op-keyed, or the
-    /// retained per-class baseline); match sets are identical either way.
     pub fn run_delta(
         &self,
         egraph: &mut EGraph<L, N>,
         epoch_cutoff: u64,
         rel_cutoff: u64,
-        tracking: DeltaTracking,
         scratch: &mut MatchScratch,
     ) -> usize {
         if !egraph.is_clean() {
             egraph.rebuild();
         }
-        let matches =
-            self.compiled
-                .search_delta_tracked(egraph, epoch_cutoff, rel_cutoff, tracking, scratch);
-        self.apply_matches(egraph, matches)
-    }
-}
-
-impl<L: Language, N: Analysis<L>> Rewrite<L, N>
-where
-    N::Data: Sync,
-{
-    /// [`Rewrite::run_with`] with an optional parallel-search context:
-    /// the *search* is partitioned across the context's pool (see
-    /// [`ParallelCtx`]), the matches are applied serially in the exact
-    /// order the serial search would produce them. With `None` this is
-    /// `run_with` verbatim.
-    pub fn run_with_ctx(
-        &self,
-        egraph: &mut EGraph<L, N>,
-        scratch: &mut MatchScratch,
-        par: Option<&mut ParallelCtx<'_>>,
-    ) -> usize {
-        let Some(ctx) = par else {
-            return self.run_with(egraph, scratch);
-        };
-        if !egraph.is_clean() {
-            egraph.rebuild();
-        }
-        let matches = self.compiled.search_parallel(
-            egraph,
-            Restrict::Full,
-            DeltaTracking::OpKeyed,
-            scratch,
-            ctx,
-        );
-        self.apply_matches(egraph, matches)
-    }
-
-    /// [`Rewrite::run_delta`] with an optional parallel-search context:
-    /// the single-root delta probe of delta-eligible queries *and* the
-    /// pattern-atom rounds of semi-naive evaluation (relation joins,
-    /// fresh-variable atoms) are partitioned across the pool — the merged
-    /// delta match set is byte-identical to serial at any thread count
-    /// (see [`CompiledQuery::search_delta_tracked_ctx`]).
-    pub fn run_delta_ctx(
-        &self,
-        egraph: &mut EGraph<L, N>,
-        epoch_cutoff: u64,
-        rel_cutoff: u64,
-        tracking: DeltaTracking,
-        scratch: &mut MatchScratch,
-        par: Option<&mut ParallelCtx<'_>>,
-    ) -> usize {
-        let Some(ctx) = par else {
-            return self.run_delta(egraph, epoch_cutoff, rel_cutoff, tracking, scratch);
-        };
-        if !egraph.is_clean() {
-            egraph.rebuild();
-        }
-        let matches = self.compiled.search_delta_tracked_ctx(
-            egraph,
-            epoch_cutoff,
-            rel_cutoff,
-            tracking,
-            scratch,
-            ctx,
-        );
+        let matches = self
+            .compiled
+            .search_delta(egraph, epoch_cutoff, rel_cutoff, scratch);
         self.apply_matches(egraph, matches)
     }
 }
@@ -1262,90 +895,6 @@ mod tests {
             assert_eq!(naive.len(), compiled.len());
             for m in &naive {
                 assert!(compiled.contains(m), "compiled missed {m:?}");
-            }
-        }
-    }
-
-    /// Tentpole oracle: semi-naive delta rounds partitioned across a pool
-    /// produce the *byte-identical* match set — same substitutions, same
-    /// order, same probe counters — as the serial rounds, at any thread
-    /// count, for both non-eligible query shapes (relation atoms and
-    /// fresh-variable pattern atoms) with deltas wide enough
-    /// (> `PARALLEL_MIN_ROOTS`) to actually partition.
-    #[test]
-    fn parallel_delta_rounds_are_byte_identical_to_serial() {
-        use crate::pool::SearchPool;
-        let mut eg = EG::new();
-        let a = eg.add(Math::Sym("a".into()));
-        // A first generation of products, searched once to set the cutoffs.
-        for i in 0..20 {
-            let s = eg.add(Math::Sym(format!("old{i}")));
-            let m = eg.add(Math::Mul([a, s]));
-            if i % 2 == 0 {
-                eg.relations.insert("good", vec![s]);
-            }
-            let _ = m;
-        }
-        eg.rebuild();
-        let epoch_cutoff = eg.bump_epoch();
-        let rel_cutoff = eg.relations.tick();
-        // A delta far wider than PARALLEL_MIN_ROOTS: new products and new
-        // relation tuples, so every round of both queries is non-empty.
-        for i in 0..200 {
-            let s = eg.add(Math::Sym(format!("new{i}")));
-            let _ = eg.add(Math::Mul([a, s]));
-            if i % 3 == 0 {
-                eg.relations.insert("good", vec![s]);
-            }
-        }
-        eg.rebuild();
-
-        let queries: Vec<CompiledQuery<Math>> = vec![
-            Query::single("e", pmul(pvar("x"), pvar("y")))
-                .with_relation("good", &["y"])
-                .compile(),
-            Query::single("e", pmul(pvar("x"), pvar("y")))
-                .also("f", pmul(pvar("p"), pvar("q")))
-                .compile(),
-        ];
-        for q in &queries {
-            assert!(!q.delta_eligible());
-            let mut serial_scratch = MatchScratch::new();
-            let serial = q.search_delta_tracked(
-                &eg,
-                epoch_cutoff,
-                rel_cutoff,
-                DeltaTracking::OpKeyed,
-                &mut serial_scratch,
-            );
-            assert!(!serial.is_empty(), "the delta must actually match");
-            let serial_probes = serial_scratch.take_probe_counters();
-            for threads in [2, 4] {
-                let pool = SearchPool::new(threads);
-                let mut scratches: Vec<MatchScratch> =
-                    (0..pool.threads()).map(|_| MatchScratch::new()).collect();
-                let mut ctx = ParallelCtx {
-                    pool: &pool,
-                    scratches: &mut scratches,
-                };
-                let mut scratch = MatchScratch::new();
-                let par = q.search_delta_tracked_ctx(
-                    &eg,
-                    epoch_cutoff,
-                    rel_cutoff,
-                    DeltaTracking::OpKeyed,
-                    &mut scratch,
-                    &mut ctx,
-                );
-                assert_eq!(
-                    serial, par,
-                    "match set must be identical at {threads} threads"
-                );
-                assert_eq!(
-                    serial_probes,
-                    scratch.take_probe_counters(),
-                    "probe counters must be identical at {threads} threads"
-                );
             }
         }
     }

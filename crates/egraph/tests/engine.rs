@@ -5,16 +5,20 @@
 //! * the compiled/indexed matcher returns the same `(Id, Subst)` sets as
 //!   the retained naive reference matcher, on random graphs and across
 //!   full saturation of the `math_lang` rule suite;
-//! * saturation with the indexed + delta scheduler — under op-keyed *and*
-//!   per-class change tracking — reaches the same e-graph (nodes, classes,
-//!   equivalences) and extracts the same terms as the naive matcher path;
+//! * saturation with the indexed + op-keyed delta scheduler reaches the
+//!   same e-graph (nodes, classes, equivalences) and extracts the same
+//!   terms as the naive matcher path;
+//! * semi-naive delta search is sound and complete against a full search
+//!   (itself cross-checked against the naive matcher);
 //! * op-keyed delta probes skip classes whose probed-operator rows were
-//!   untouched (counter-based), and modification-log compaction is
-//!   deterministic and exact.
+//!   untouched (counter-based, at query and runner level), and
+//!   modification-log compaction is deterministic and exact.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use hb_egraph::egraph::{DeltaTracking, EGraph};
+use hb_egraph::egraph::EGraph;
 use hb_egraph::extract::{AstSize, WorklistExtractor};
 use hb_egraph::language::Language;
 use hb_egraph::math_lang::{n, padd, pdiv, pmul, pshl, pvar, Math};
@@ -22,6 +26,7 @@ use hb_egraph::pattern::{MatchScratch, Pattern, Subst};
 use hb_egraph::rewrite::{Query, Rewrite};
 use hb_egraph::schedule::Runner;
 use hb_egraph::unionfind::Id;
+use hb_obs::{CollectingSink, ProfileSink};
 
 type EG = EGraph<Math, ()>;
 
@@ -132,36 +137,20 @@ proptest! {
     fn saturation_agrees_between_matchers(
         steps in proptest::collection::vec((0u8..5, 0u32..64, 0u32..64), 40),
     ) {
-        // Saturate three copies of the same graph — op-keyed deltas (the
-        // default), the retained per-class delta baseline, and the naive
-        // matcher — and compare the resulting e-graphs and extracted
-        // terms.
+        // Saturate two copies of the same graph — the indexed matcher with
+        // op-keyed deltas and the naive matcher — and compare the
+        // resulting e-graphs and extracted terms.
         let (mut fast, ids) = replay(&steps);
-        let mut per_class = fast.clone();
         let mut naive = fast.clone();
         let runner = Runner::new(16, 20_000);
         let rules = math_rules();
         let r1 = runner.run_to_fixpoint(&mut fast, &rules);
-        let r_pc = runner
-            .clone()
-            .with_per_class_deltas(true)
-            .run_to_fixpoint(&mut per_class, &rules);
         let r2 = runner
             .with_naive_matcher(true)
             .run_to_fixpoint(&mut naive, &rules);
         prop_assert_eq!(r1.saturated, r2.saturated);
         prop_assert_eq!(r1.nodes, r2.nodes, "node counts diverged");
         prop_assert_eq!(r1.classes, r2.classes, "class counts diverged");
-        prop_assert_eq!(r1.saturated, r_pc.saturated);
-        prop_assert_eq!(r1.nodes, r_pc.nodes, "per-class node counts diverged");
-        prop_assert_eq!(r1.classes, r_pc.classes, "per-class class counts diverged");
-        // Op-keyed probes never visit more rows than the per-class
-        // baseline on the same workload.
-        prop_assert!(
-            r1.delta_probed_rows <= r_pc.delta_probed_rows,
-            "op-keyed probed {} rows, per-class {}",
-            r1.delta_probed_rows, r_pc.delta_probed_rows
-        );
         fast.check_op_epochs();
         // Same equivalences between all tracked ids.
         for &x in &ids {
@@ -170,11 +159,6 @@ proptest! {
                     fast.find(x) == fast.find(y),
                     naive.find(x) == naive.find(y),
                     "equivalence of {} and {} diverged", x, y
-                );
-                prop_assert_eq!(
-                    fast.find(x) == fast.find(y),
-                    per_class.find(x) == per_class.find(y),
-                    "per-class equivalence of {} and {} diverged", x, y
                 );
             }
         }
@@ -306,27 +290,6 @@ proptest! {
                     );
                 }
             }
-            // The retained per-class probe must be equally sound and
-            // complete — it only probes more rows, never different
-            // match semantics.
-            let pc = c.search_delta_tracked(
-                &eg,
-                epoch_cutoff,
-                rel_cutoff,
-                DeltaTracking::PerClass,
-                &mut scratch,
-            );
-            for m in &pc {
-                prop_assert!(full.contains(m), "per-class delta invented {m:?}");
-            }
-            for m in &full {
-                if !before.contains(m) {
-                    prop_assert!(
-                        pc.contains(m),
-                        "per-class delta missed the new match {m:?}"
-                    );
-                }
-            }
         }
         eg.check_op_epochs();
     }
@@ -381,10 +344,9 @@ fn scheduler_semi_naive_finds_late_tuples_without_full_research() {
 fn untouched_op_rows_are_not_probed() {
     // Epoch exactness, counter-based: a class holding both a Mul and a Div
     // node sees a change under its Mul subtree only. The Div-rooted
-    // query's op-keyed delta probe must visit zero rows, while the
-    // per-class baseline re-probes the class (it is modified and contains
-    // a Div node). Match sets are empty either way — the probe count is
-    // the difference under test.
+    // query's op-keyed delta probe must visit zero rows even though the
+    // class is modified and contains a Div node, while the Mul-rooted
+    // probe must visit the changed rows.
     let mut eg = EG::new();
     let two = eg.add(Math::Num(2));
     let three = eg.add(Math::Num(3));
@@ -414,17 +376,9 @@ fn untouched_op_rows_are_not_probed() {
         div_probed, 0,
         "no Div row changed — the op-keyed Div probe must visit nothing"
     );
-    let _ = q_div.search_delta_tracked(
-        &eg,
-        cutoff,
-        rel_cutoff,
-        DeltaTracking::PerClass,
-        &mut scratch,
-    );
-    let (div_probed_pc, _) = scratch.take_probe_counters();
     assert!(
-        div_probed_pc > 0,
-        "the per-class baseline re-probes the modified multi-op class"
+        eg.modified_since(cutoff).contains(&eg.find(mul_roots[0].1)),
+        "the multi-op class itself was modified"
     );
     let _ = q_mul.search_delta(&eg, cutoff, rel_cutoff, &mut scratch);
     let (mul_probed, _) = scratch.take_probe_counters();
@@ -436,25 +390,24 @@ fn untouched_op_rows_are_not_probed() {
 }
 
 #[test]
-fn op_keyed_runner_probes_fewer_rows_than_per_class() {
-    // Runner-level A/B: multi-op classes u_i hold a Mul node and a Div
-    // node with disjoint subtrees. A rule that only changes the Div
+fn op_keyed_runner_skips_untouched_op_rows() {
+    // Runner-level exactness: multi-op classes u_i hold a Mul node and a
+    // Div node with disjoint subtrees. A rule that only changes the Div
     // side's shared leaf (`3` gains a Div node) restamps the u_i through
-    // their Div parent nodes alone, so the Mul-rooted rule's delta probe
-    // visits zero rows under op-keyed tracking — while the per-class
-    // baseline re-probes every modified u_i (each contains a Mul node).
-    // Outcomes must be identical; only probe counts may differ.
-    let mut op_keyed = EG::new();
-    let two = op_keyed.add(Math::Num(2));
-    let three = op_keyed.add(Math::Num(3));
+    // their Div parent nodes alone, so the Mul-rooted rule's delta probes
+    // must visit zero rows — even though every u_i was modified and
+    // contains a Mul node.
+    let mut eg = EG::new();
+    let two = eg.add(Math::Num(2));
+    let three = eg.add(Math::Num(3));
     for i in 0..8 {
-        let a = op_keyed.add(Math::Sym(format!("a{i}")));
-        let b = op_keyed.add(Math::Sym(format!("b{i}")));
-        let m = op_keyed.add(Math::Mul([a, two]));
-        let d = op_keyed.add(Math::Div([b, three]));
-        op_keyed.union(m, d);
+        let a = eg.add(Math::Sym(format!("a{i}")));
+        let b = eg.add(Math::Sym(format!("b{i}")));
+        let m = eg.add(Math::Mul([a, two]));
+        let d = eg.add(Math::Div([b, three]));
+        eg.union(m, d);
     }
-    op_keyed.rebuild();
+    eg.rebuild();
     let rules: Vec<Rewrite<Math>> = vec![
         // Never fires; its delta probes of the Mul rows are under test.
         // Runs first so the Div-side change below lands *after* its first
@@ -465,27 +418,29 @@ fn op_keyed_runner_probes_fewer_rows_than_per_class() {
         // Fires once: `3` ≡ `3/1`, a change strictly on the Div side.
         Rewrite::rewrite("three-div-one", n(3), pdiv(n(3), n(1))),
     ];
-    let mut per_class = op_keyed.clone();
-    let runner = Runner::new(16, 20_000);
-    let r_op = runner.run_to_fixpoint(&mut op_keyed, &rules);
-    let r_pc = runner
-        .with_per_class_deltas(true)
-        .run_to_fixpoint(&mut per_class, &rules);
-    assert!(r_op.saturated && r_pc.saturated);
-    assert_eq!(r_op.nodes, r_pc.nodes);
-    assert_eq!(r_op.classes, r_pc.classes);
-    assert_eq!(r_op.applied, r_pc.applied);
-    assert!(
-        r_op.delta_probed_rows < r_pc.delta_probed_rows,
-        "op-keyed probed {} rows, per-class {} — expected strictly fewer",
-        r_op.delta_probed_rows,
-        r_pc.delta_probed_rows
+    let sink = Arc::new(CollectingSink::new());
+    let report = Runner::new(16, 20_000)
+        .with_profile_sink(Arc::clone(&sink) as Arc<dyn ProfileSink>)
+        .run_to_fixpoint(&mut eg, &rules);
+    assert!(report.saturated);
+    assert!(report.delta_searches > 0, "later passes must run as deltas");
+    let probed = |rule: &str| -> usize {
+        sink.samples()
+            .iter()
+            .filter(|s| s.rule == rule)
+            .map(|s| s.probed_rows)
+            .sum()
+    };
+    assert_eq!(
+        probed("mul-one"),
+        0,
+        "no Mul row changed — the Mul-rooted rule's delta probes must visit nothing"
     );
     assert!(
-        r_op.delta_skipped_rows > r_pc.delta_skipped_rows,
-        "op-keyed must skip the rows per-class probes"
+        probed("div-threes") > 0,
+        "the changed Div rows must be probed"
     );
-    op_keyed.check_op_epochs();
+    eg.check_op_epochs();
 }
 
 #[test]

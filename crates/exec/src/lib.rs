@@ -33,6 +33,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod buffer;
 pub mod interp;
 pub mod intrinsics;

@@ -30,6 +30,8 @@
 //! assert_eq!(conv.to_string(), "(float32x8)vector_reduce_add(A[x8(ramp(0, 1, 3))])");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub mod expr;
 pub mod interval;

@@ -25,6 +25,8 @@
 //! assert_eq!(lowered.output_len, 16);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod lower;
 pub mod schedule;

@@ -19,8 +19,8 @@
 //! call signatures — the session opens `compile`, each stage opens its
 //! own child, and engine-side samples land under whatever stage is open
 //! on that thread. Records carry ordered key→value attributes and merge
-//! into one store across threads, so a parallel compile yields one
-//! coherent trace. `Span::finish` returns the measured
+//! into one store across threads, so concurrent compiles sharing one
+//! tracer yield one coherent trace. `Span::finish` returns the measured
 //! [`Duration`](std::time::Duration), which is how the session
 //! populates its public `StageTimings` from
 //! the very same spans: tracing and stage timing cannot drift apart.
@@ -78,6 +78,8 @@
 //! (3) the engine hook must be provably near-free when disabled, which
 //! is easiest to audit when the entire mechanism is a branch on an
 //! `Option` in this workspace rather than a global subscriber lookup.
+
+#![forbid(unsafe_code)]
 
 pub mod clock;
 pub mod metrics;

@@ -3,8 +3,11 @@
 //! profiling sinks observing the engine through the session API, and one
 //! registry aggregating engine, session and service metrics.
 
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
+use std::thread;
+use std::time::{Duration, Instant};
 
+use hardboiled_repro::hardboiled::session::{CompileError, IntoProgram, Program};
 use hardboiled_repro::hardboiled::{
     Batching, CollectingSink, MetricsRegistry, Placements, ReportCache, Session, TestClock, Tracer,
     TracingSink,
@@ -207,6 +210,24 @@ fn registry_aggregates_session_and_cache_metrics_exactly() {
     assert!(text.contains("compile_outcome_saturated 2"));
 }
 
+/// A leaf whose front end parks in `to_program` until its latch opens —
+/// holds a service's only worker inside a request deterministically.
+struct GatedLeaf {
+    inner: Stmt,
+    open: Arc<(Mutex<bool>, Condvar)>,
+}
+
+impl IntoProgram for GatedLeaf {
+    fn to_program(&self) -> Result<Program, CompileError> {
+        let (flag, cv) = &*self.open;
+        let mut open = flag.lock().unwrap();
+        while !*open {
+            open = cv.wait(open).unwrap();
+        }
+        self.inner.to_program()
+    }
+}
+
 /// Service lifecycle metrics land in the shared registry: the global and
 /// per-target queue-depth gauges, the busy/cancel counters and the
 /// cancellation latency histogram all resolve — and per-target gauges
@@ -224,14 +245,32 @@ fn service_lifecycle_metrics_share_the_registry() {
         .build()
         .unwrap();
 
-    // One completed request per target.
-    let sim = service.submit("sim", tile_leaf(0)).unwrap();
-    let scalar = service.submit("scalar", tile_leaf(1)).unwrap();
-    assert!(sim.wait().is_ok());
-    assert!(scalar.wait().is_ok());
-    // One cancellation: dropped while the single worker drains the rest.
+    // One completed request per target; the `scalar` one parks the single
+    // worker until the victim below has been dropped, so the victim is
+    // still queued when its ticket goes (a fast compile cannot win the
+    // race and complete it first).
+    assert!(service.submit("sim", tile_leaf(0)).unwrap().wait().is_ok());
+    let open = Arc::new((Mutex::new(false), Condvar::new()));
+    let scalar = service
+        .submit(
+            "scalar",
+            GatedLeaf {
+                inner: tile_leaf(1),
+                open: Arc::clone(&open),
+            },
+        )
+        .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while metrics.snapshot().gauge("service.queue_depth.scalar") != Some(0) {
+        assert!(Instant::now() < deadline, "the worker never picked up");
+        thread::sleep(Duration::from_millis(2));
+    }
+    // One cancellation: dropped while queued behind the parked worker.
     let victim = service.submit("sim", tile_leaf(2)).unwrap();
     drop(victim);
+    *open.0.lock().unwrap() = true;
+    open.1.notify_all();
+    assert!(scalar.wait().is_ok());
     // A probe after the victim guarantees the skip has been processed by
     // the time its reply arrives (single worker, FIFO per target).
     assert!(service.submit("sim", tile_leaf(3)).unwrap().wait().is_ok());

@@ -1,8 +1,7 @@
 //! Concurrency suite: one shared [`Session`] (and the [`CompileService`]
 //! built on it) hammered from many threads must produce byte-identical
-//! programs to serial compilation — sessions are immutable after build,
-//! the service adds no cross-request state, and intra-compile
-//! parallelism (`compile_threads`) composes with concurrent callers.
+//! programs to serial compilation, in both batching modes — sessions are
+//! immutable after build and the service adds no cross-request state.
 //!
 //! The backpressure/cancellation half pins the service lifecycle: full
 //! per-target queues refuse with `Busy` without touching their
@@ -80,26 +79,25 @@ fn shared_session_hammered_from_many_threads_matches_serial() {
 }
 
 #[test]
-fn intra_compile_parallelism_composes_with_concurrent_callers() {
-    // Every caller thread drives a compile that is *itself* parallel
-    // (parallel rule search + readouts); results must still match the
-    // fully serial session.
+fn shared_per_leaf_session_hammered_from_many_threads_matches_serial() {
+    // The per-leaf counterpart of the batched hammer above: every leaf
+    // gets its own e-graph, so concurrent callers share only the
+    // session's immutable rule set.
     let sources = sources();
-    let serial_session = Session::builder().build().unwrap();
-    let serial = programs_via(&serial_session, &sources);
-    let parallel = Arc::new(Session::builder().compile_threads(2).build().unwrap());
+    let session = Arc::new(Session::builder().build().unwrap());
+    let serial = programs_via(&session, &sources);
     thread::scope(|scope| {
         for t in 0..3 {
-            let parallel = &parallel;
+            let session = &session;
             let sources = &sources;
             let serial = &serial;
             scope.spawn(move || {
                 for (i, source) in sources.iter().enumerate() {
-                    let result = parallel.compile(source).expect("source must compile");
+                    let result = session.compile(source).expect("source must compile");
                     assert_eq!(
                         serial[i],
                         normalize_temps(&result.program.to_string()),
-                        "thread {t} program {i}: parallel compile diverged from serial"
+                        "thread {t} program {i} diverged from serial"
                     );
                 }
             });
