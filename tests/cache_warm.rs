@@ -312,3 +312,54 @@ fn per_leaf_sessions_export_nothing() {
     let (_, snapshot) = session.compile_ir_suite_exporting(&suite_refs(&stmts, &placements));
     assert!(snapshot.is_none(), "per-leaf mode has no shared graph");
 }
+
+/// The cache ledger of the snapshot entry points on a batched session
+/// with a report cache: exporting and an accepted warm start bypass the
+/// cache, while a rejected warm start is an ordinary cold compile that
+/// misses, stores, and hits on its repeat.
+#[test]
+fn snapshot_entry_points_keep_the_cache_ledger() {
+    let cache = Arc::new(ReportCache::new(8));
+    let session = Session::builder()
+        .target_name("sim")
+        .batching(Batching::Batched)
+        .report_cache(Arc::clone(&cache))
+        .build()
+        .unwrap();
+    let placements = Placements::new();
+    let known: Vec<Stmt> = ["a", "b"].map(tile_leaf).to_vec();
+    let full: Vec<Stmt> = ["a", "b", "c"].map(tile_leaf).to_vec();
+    let ledger = |hits, misses, bypasses| {
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.hits, stats.misses, stats.bypasses),
+            (hits, misses, bypasses)
+        );
+    };
+
+    let (exported, snapshot) = session.compile_ir_suite_exporting(&suite_refs(&known, &placements));
+    let snapshot = snapshot.expect("saturated batched compile exports a snapshot");
+    assert_eq!(exported.report.cache, CacheOutcome::Bypass);
+    ledger(0, 0, 1);
+
+    let (warm, rejection) =
+        session.compile_ir_suite_warm(&suite_refs(&full, &placements), &snapshot);
+    assert_eq!(rejection, None);
+    assert_eq!(warm.report.cache, CacheOutcome::Bypass);
+    ledger(0, 0, 2);
+    assert!(cache.is_empty(), "neither snapshot path stores an entry");
+
+    let mut corrupt_bytes = snapshot.to_bytes();
+    *corrupt_bytes.last_mut().unwrap() ^= 0xff;
+    let corrupted = SuiteSnapshot::from_bytes(&corrupt_bytes).unwrap();
+    let (first, rejection) =
+        session.compile_ir_suite_warm(&suite_refs(&full, &placements), &corrupted);
+    assert!(matches!(rejection, Some(WarmRejection::Snapshot(_))));
+    assert_eq!(first.report.cache, CacheOutcome::Miss);
+    ledger(0, 1, 2);
+    let (second, _) = session.compile_ir_suite_warm(&suite_refs(&full, &placements), &corrupted);
+    assert_eq!(second.report.cache, CacheOutcome::Hit);
+    assert_eq!(second.programs, first.programs);
+    assert_eq!(first.programs, warm.programs, "every path selects alike");
+    ledger(1, 1, 2);
+}

@@ -60,6 +60,42 @@ fn span_tree_is_byte_stable_under_the_test_clock() {
     assert_eq!(tracer.render_tree(), expected);
 }
 
+/// The warm-start golden tree: the restore of the snapshot opens the
+/// `compile_warm` root, ahead of the same five stage spans a cold compile
+/// records.
+#[test]
+fn warm_span_tree_is_byte_stable_under_the_test_clock() {
+    let tracer = Tracer::with_clock(TestClock::new(1));
+    let session = Session::builder()
+        .target_name("sim")
+        .batching(Batching::Batched)
+        .tracer(tracer.clone())
+        .build()
+        .unwrap();
+    let placements = Placements::new();
+    let (base, full) = (tile_leaf(0), tile_leaf(1));
+    let (_, snapshot) = session.compile_ir_suite_exporting(&[(&base, &placements)]);
+    let snapshot = snapshot.expect("saturated batched compile exports a snapshot");
+    tracer.clear();
+    let (result, rejection) =
+        session.compile_ir_suite_warm(&[(&base, &placements), (&full, &placements)], &snapshot);
+    assert_eq!(rejection, None);
+    let run = result.report.batch.as_ref().expect("batched run report");
+    // compile_warm opens at 0; six children each consume an open+close
+    // tick pair; compile_warm closes at 13.
+    let expected = format!(
+        "compile_warm (13ns)\n  \
+         restore (1ns)\n  \
+         annotate (1ns) [leaves=2]\n  \
+         encode (1ns)\n  \
+         saturate (1ns) [iterations={} applied={}]\n  \
+         extract (1ns) [roots=2]\n  \
+         splice (1ns)\n",
+        run.iterations, run.applied
+    );
+    assert_eq!(tracer.render_tree(), expected);
+}
+
 /// A disabled tracer records nothing, but its span guards still measure:
 /// the report's stage timings stay populated at the old `Instant` cost.
 #[test]
