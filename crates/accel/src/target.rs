@@ -63,10 +63,6 @@ pub enum ExtractionPolicy {
     /// Always the shared-table strategy (one cost table + term bank reused
     /// across every root of the graph).
     SharedTable,
-    /// DAG-aware costs: shared subterms charged once per readout — a
-    /// different objective for CSE-heavy unrolled workloads; outputs may
-    /// differ from the tree-cost strategies.
-    DagCost,
 }
 
 /// One compilation target: device parameters + placement policy + rule
@@ -97,9 +93,9 @@ pub trait Target: Send + Sync {
 
     /// Which extraction strategy the selector should run when the session
     /// does not override it. Every built-in target keeps [`Auto`]
-    /// (worklist per-leaf, shared-table batched); targets backing
-    /// CSE-performing code generators can return
-    /// [`ExtractionPolicy::DagCost`] instead.
+    /// (worklist per-leaf, shared-table batched). Every strategy minimizes
+    /// the same tree cost and selects the same programs, so a target's
+    /// choice changes only extraction speed.
     ///
     /// [`Auto`]: ExtractionPolicy::Auto
     fn extraction_policy(&self) -> ExtractionPolicy {

@@ -197,7 +197,7 @@ fn run_batched_with(runner: &Runner, leaves: &[Stmt], reps: usize) -> BatchRun {
 /// so the whole-program trajectory (prehoist per-leaf → hoisted per-leaf
 /// → shared-graph batch) stays visible in `BENCH_eqsat.json`.
 fn run_prehoist_baseline(all: &[Workload], reps: usize) -> f64 {
-    use hardboiled::cost::HbCost;
+    use hardboiled::cost::DeviceCost;
     use hardboiled::decode::decode_stmt;
     use hardboiled::postprocess::materialize_stmt;
     use hb_egraph::extract::WorklistExtractor;
@@ -207,6 +207,8 @@ fn run_prehoist_baseline(all: &[Workload], reps: usize) -> f64 {
         .flat_map(|w| saturation_leaves(&w.lowered))
         .collect();
     let runner = Runner::new(16, 200_000);
+    // The default `sim` target's device-derived cost model.
+    let cost = DeviceCost::from_profile(&hb_accel::device::DeviceProfile::a100());
     let mut best = f64::INFINITY;
     for _ in 0..reps {
         let start = Instant::now();
@@ -217,7 +219,7 @@ fn run_prehoist_baseline(all: &[Workload], reps: usize) -> f64 {
             // The defining cost of the baseline: rules rebuilt per leaf.
             let rule_set = rules::RuleSet::build();
             let _ = runner.run_phased(&mut eg, &rule_set.main, &rule_set.support, 8);
-            let extractor = WorklistExtractor::new(&eg, HbCost);
+            let extractor = WorklistExtractor::new(&eg, cost);
             let term = extractor.extract(root);
             let decoded = decode_stmt(&term).unwrap_or_else(|_| leaf.clone());
             let _ = materialize_stmt(&decoded);
@@ -473,9 +475,9 @@ fn main() {
             nodes,
             iters,
             fast.wall_ms,
-            fast.report.eqsat_time.as_secs_f64() * 1e3,
+            fast.report.stages.saturate.as_secs_f64() * 1e3,
             naive.wall_ms,
-            naive.report.eqsat_time.as_secs_f64() * 1e3,
+            naive.report.stages.saturate.as_secs_f64() * 1e3,
             speedup
         );
         per_leaf_runs.push(fast);
@@ -536,7 +538,7 @@ fn main() {
             run.classes,
             per_leaf.wall_ms,
             batched.wall_ms,
-            batched.report.eqsat_time.as_secs_f64() * 1e3,
+            batched.report.stages.saturate.as_secs_f64() * 1e3,
             run.delta_searches,
             run.full_searches,
             run.skipped_searches,
@@ -546,7 +548,7 @@ fn main() {
         );
     }
 
-    // The headline: the whole suite as ONE batch (`select_batched_many`) —
+    // The headline: the whole suite as ONE batch (`compile_ir_suite`) —
     // every leaf of every workload in one shared e-graph, one saturation —
     // against the per-leaf path's total from [1].
     let (suite_outs, suite_report, suite_batched) = run_suite_batched(&all, &batched_session(), 5);

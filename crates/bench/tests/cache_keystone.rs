@@ -128,11 +128,7 @@ fn policy_fingerprints_separate_targets_policies_and_budgets() {
             add(format!("{target}/{batching:?}"), &s);
         }
     }
-    for policy in [
-        ExtractionPolicy::Worklist,
-        ExtractionPolicy::SharedTable,
-        ExtractionPolicy::DagCost,
-    ] {
+    for policy in [ExtractionPolicy::Worklist, ExtractionPolicy::SharedTable] {
         let s = Session::builder().extractor(policy).build().unwrap();
         add(format!("sim/{policy:?}"), &s);
     }

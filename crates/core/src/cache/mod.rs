@@ -55,8 +55,9 @@
 //! entry with the oldest clock value. [`CacheStats`] exposes monotone
 //! hit/miss/bypass/eviction counters; each compile's own treatment lands
 //! on its report as a [`CacheOutcome`]. Compiles that never consult the
-//! cache — leaf-free programs, warm-starts, snapshot-exporting compiles,
-//! and fault-injected sessions — count as bypasses, and only fully
+//! cache — leaf-free programs, accepted warm-starts, snapshot-exporting
+//! compiles, and fault-injected sessions — count as bypasses (a rejected
+//! warm-start compiles cold and consults the cache), and only fully
 //! [`Saturated`](crate::session::CompileOutcome::Saturated) compiles are
 //! stored (a truncated or degraded result must not shadow a later clean
 //! one).

@@ -7,19 +7,16 @@
 //! none exists the movement survives and the selector reports the statement
 //! as not lowered (the "miss" of the paper's hit-or-miss framing).
 //!
-//! Two implementations ship with the crate:
-//!
-//! * [`DeviceCost`] — the `Session` default, **derived from the target's
-//!   [`DeviceProfile`]**: the per-intrinsic charge reflects how the
-//!   device's tensor units compare to its general-purpose cores, so
-//!   extraction prefers intrinsics exactly when the device makes them
-//!   worthwhile. On every built-in profile (A100, RTX 4070 SUPER, AMX
-//!   host) the derivation lands on the historical constants, so selections
-//!   are byte-identical to the original hardcoded model; a profile with
-//!   pathologically slow tensor units instead prices intrinsics above the
-//!   movement penalty and extraction falls back to vector code.
-//! * [`HbCost`] — the original hardcoded constants, kept as the reference
-//!   model (and as proof any [`CostModel`] plugs into the pipeline).
+//! The shipped implementation, [`DeviceCost`], is the `Session` default
+//! and is **derived from the target's [`DeviceProfile`]**: the
+//! per-intrinsic charge reflects how the device's tensor units compare to
+//! its general-purpose cores, so extraction prefers intrinsics exactly
+//! when the device makes them worthwhile. On every built-in profile (A100,
+//! RTX 4070 SUPER, AMX host) the derivation lands on the paper's constants
+//! ([`MOVEMENT_PENALTY`], [`INTRINSIC_COST`], 1 for any other node); a
+//! profile with pathologically slow tensor units instead prices
+//! intrinsics above the movement penalty and extraction falls back to
+//! vector code.
 //!
 //! Custom models implement [`CostModel`] (a per-node charge; the extractor
 //! adds children) and plug in via `Session::builder().cost_model(...)`.
@@ -34,7 +31,7 @@ use crate::lang::HbLang;
 /// Cost of an unabsorbed data-movement node.
 pub const MOVEMENT_PENALTY: u64 = 10_000;
 
-/// Own cost of an intrinsic call under the historical constants.
+/// Own cost of an intrinsic call under the paper's constants.
 pub const INTRINSIC_COST: u64 = 2;
 
 /// A pluggable extraction cost model: assigns each e-node its *own* cost;
@@ -61,28 +58,6 @@ impl CostFunction<HbLang> for ModelCost<'_> {
     }
 }
 
-/// The original HARDBOILED cost function: fixed constants, no device input.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HbCost;
-
-impl CostModel for HbCost {
-    fn node_cost(&self, node: &HbLang) -> u64 {
-        match node {
-            HbLang::Loc(..) => MOVEMENT_PENALTY,
-            // Intrinsic calls are single instructions; keep them competitive
-            // with the vector soup they replace.
-            HbLang::Call(..) => INTRINSIC_COST,
-            _ => 1,
-        }
-    }
-}
-
-impl CostFunction<HbLang> for HbCost {
-    fn cost(&self, node: &HbLang, child_cost: &mut dyn FnMut(Id) -> u64) -> u64 {
-        ModelCost(self).cost(node, child_cost)
-    }
-}
-
 /// The device-derived cost model: AST size with the intrinsic charge
 /// computed from a [`DeviceProfile`].
 ///
@@ -91,7 +66,7 @@ impl CostFunction<HbLang> for HbCost {
 /// rounded, floored at 1 — i.e. how many "ordinary vector node" units of
 /// time a tensor instruction costs *relative to what the same device could
 /// do without it*. Devices whose tensor units outrun their cores (every
-/// real profile) get the minimum charge of 2, matching [`HbCost`]; a
+/// real profile) get the minimum charge of 2 ([`INTRINSIC_COST`]); a
 /// device whose tensor path is slower than its cores prices intrinsics
 /// proportionally higher, and past [`MOVEMENT_PENALTY`] extraction prefers
 /// the un-lowered vector form — the selector then honestly reports the
@@ -155,13 +130,17 @@ mod tests {
     use crate::lang::HbGraph;
     use hb_egraph::extract::WorklistExtractor;
     use hb_ir::builder as b;
-    use hb_ir::types::Type;
+    use hb_ir::types::{Location, Type};
+
+    fn a100_cost() -> DeviceCost {
+        DeviceCost::from_profile(&DeviceProfile::a100())
+    }
 
     #[test]
     fn movements_dominate_cost() {
         let mut eg = HbGraph::default();
         let id = encode_expr(&mut eg, &b::mem_to_amx(b::bcast(b::flt(0.0), 4)));
-        let ex = WorklistExtractor::new(&eg, HbCost);
+        let ex = WorklistExtractor::new(&eg, a100_cost());
         assert!(ex.cost_of(id).unwrap() >= MOVEMENT_PENALTY);
     }
 
@@ -175,7 +154,7 @@ mod tests {
         );
         eg.union(moved, call);
         eg.rebuild();
-        let ex = WorklistExtractor::new(&eg, HbCost);
+        let ex = WorklistExtractor::new(&eg, a100_cost());
         let term = ex.extract(moved);
         assert_eq!(
             crate::decode::decode_expr(&term).unwrap(),
@@ -184,17 +163,24 @@ mod tests {
     }
 
     #[test]
-    fn built_in_profiles_derive_the_historical_constants() {
+    fn built_in_profiles_price_nodes_at_the_paper_constants() {
         // The byte-identity keystone: on every profile the repo ships, the
-        // derived model must price nodes exactly like HbCost.
+        // derived model charges a movement, an intrinsic call and any
+        // other node exactly the paper's constants.
+        let mut eg = HbGraph::default();
+        let zero = eg.add(HbLang::Num(0));
+        let movement = HbLang::Loc(Location::Mem, Location::Amx, [zero]);
+        let call = HbLang::Call("tile_zero".to_string(), vec![zero]);
+        let plain = HbLang::Bcast([zero, zero]);
         for device in [
             DeviceProfile::a100(),
             DeviceProfile::rtx4070_super(),
             DeviceProfile::amx_host(),
         ] {
             let dc = DeviceCost::from_profile(&device);
-            assert_eq!(dc.intrinsic, INTRINSIC_COST, "{}", device.name);
-            assert_eq!(dc.movement, MOVEMENT_PENALTY, "{}", device.name);
+            assert_eq!(dc.node_cost(&movement), MOVEMENT_PENALTY, "{}", device.name);
+            assert_eq!(dc.node_cost(&call), INTRINSIC_COST, "{}", device.name);
+            assert_eq!(dc.node_cost(&plain), 1, "{}", device.name);
         }
     }
 

@@ -90,15 +90,10 @@
 //!   per leaf and the shared-table strategy — one cost table plus a term
 //!   bank reused across every root — for batched multi-root graphs;
 //!   outputs are byte-identical, the switch is purely the extract-stage
-//!   speedup. [`ExtractionPolicy::DagCost`] instead charges shared
-//!   subterms once per readout (CSE semantics) and may legitimately select
-//!   different programs on unrolled workloads.
+//!   speedup. Both minimize the paper's tree cost.
 //! * **Front ends** implement [`session::IntoProgram`]; `hb-lang` does so
 //!   for its `Pipeline` and `Lowered` types, which makes
 //!   `session.compile(&pipeline)` lower and select in one call.
-//!
-//! The pre-`Session` free functions ([`selector::select`] and friends)
-//! remain as deprecated shims with byte-identical outputs.
 
 #![forbid(unsafe_code)]
 
@@ -110,14 +105,13 @@ pub mod lang;
 pub mod movement;
 pub mod postprocess;
 pub mod rules;
-pub mod selector;
 pub mod service;
 pub mod session;
 
 pub use cache::{
     canonical_program_hash, CacheOutcome, CacheStats, ReportCache, SuiteSnapshot, WarmRejection,
 };
-pub use cost::{CostModel, DeviceCost, HbCost};
+pub use cost::{CostModel, DeviceCost};
 pub use hb_accel::target::{
     AmxTarget, ExtractionPolicy, RuleProfile, ScalarTarget, SimTarget, Target, WmmaTarget,
 };
@@ -129,7 +123,6 @@ pub use hb_obs::{
 pub use lang::{HbAnalysis, HbGraph, HbLang};
 pub use movement::Placements;
 pub use postprocess::MaterializeError;
-pub use selector::{SelectionReport, SelectorConfig};
 pub use service::{
     CompileService, CompileServiceBuilder, ServiceError, Ticket, DEFAULT_QUEUE_CAPACITY,
 };
@@ -138,6 +131,3 @@ pub use session::{
     ExtractionReport, IntoProgram, IrSuiteResult, Program, Session, SessionBuilder, StageTimings,
     StmtReport, SuiteResult, TruncationReason,
 };
-
-#[allow(deprecated)]
-pub use selector::{select, select_default};

@@ -100,10 +100,10 @@
 //!   strategy) but routes every readout through a shared term bank, so the
 //!   sub-dags hundreds of suite roots have in common are materialized once
 //!   instead of once per root — the extract-stage speedup of batched mode.
-//!   [`extract::DagCostExtractor`] changes the *objective*: shared
-//!   subterms are charged once per readout dag (CSE semantics), finalized
-//!   bottom-up in ascending tree-cost order with a strict-descent gate
-//!   that keeps every chosen dag acyclic.
+//!   Both minimize tree cost, the egg extractor's objective (Willsey et
+//!   al., POPL'21) and the one the paper's selector uses; DAG-cost
+//!   extraction, which charges shared subterms once, is NP-hard and is
+//!   not offered.
 //!
 //! ## Cancellation
 //!
@@ -227,8 +227,8 @@ pub mod unionfind;
 
 pub use egraph::{Analysis, EClass, EGraph};
 pub use extract::{
-    AstSize, CostFunction, DagCostExtractor, Extract, ExtractionStats, FnCost,
-    SharedTableExtractor, WorklistExtractor,
+    AstSize, CostFunction, Extract, ExtractionStats, FnCost, SharedTableExtractor,
+    WorklistExtractor,
 };
 #[cfg(feature = "fault-injection")]
 pub use fault::{Fault, FaultPlan, InjectedStop};

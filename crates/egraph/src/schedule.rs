@@ -47,7 +47,9 @@ use crate::language::Language;
 use crate::pattern::MatchScratch;
 use crate::rewrite::Rewrite;
 
-/// Statistics from a saturation run.
+/// Statistics from a saturation run: work counters and stop flags, no
+/// wall-clock time, so equal runs compare equal (callers time the run
+/// themselves).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunReport {
     /// Outer iterations executed.
@@ -85,8 +87,6 @@ pub struct RunReport {
     /// would have done, so `skipped / (probed + skipped)` is the delta
     /// machinery's coverage.
     pub delta_skipped_rows: usize,
-    /// Wall-clock time spent.
-    pub elapsed: Duration,
 }
 
 impl RunReport {
@@ -101,8 +101,8 @@ impl RunReport {
     }
 
     /// Folds a sub-run (e.g. a supporting-rule fixpoint) into this report:
-    /// applied matches and search-mode counters accumulate; sizes, flags
-    /// and timing stay the outer run's.
+    /// applied matches and search-mode counters accumulate; sizes and
+    /// flags stay the outer run's.
     fn absorb(&mut self, sub: &RunReport) {
         self.applied += sub.applied;
         self.delta_searches += sub.delta_searches;
@@ -642,7 +642,6 @@ impl Runner {
         clock: &mut BudgetClock,
         _inject_faults: bool,
     ) -> RunReport {
-        let start = Instant::now();
         let mut report = RunReport::default();
         for _ in 0..self.max_iterations {
             clock.check_now();
@@ -669,7 +668,6 @@ impl Runner {
         }
         report.nodes = egraph.num_nodes();
         report.classes = egraph.num_classes();
-        report.elapsed = start.elapsed();
         report
     }
 
@@ -785,7 +783,6 @@ impl Runner {
         budget: Budget,
         seed: RuleState,
     ) -> RunReport {
-        let start = Instant::now();
         let mut report = RunReport::default();
         let mut main_states = vec![seed; main_rules.len()];
         let mut support_states = vec![seed; supporting_rules.len()];
@@ -845,7 +842,6 @@ impl Runner {
         }
         report.nodes = egraph.num_nodes();
         report.classes = egraph.num_classes();
-        report.elapsed = start.elapsed();
         clock.stamp(&mut report);
         report
     }

@@ -11,12 +11,6 @@
 //! numeric equivalence instead — both programs of the batched suite and
 //! their per-leaf counterparts run on the interpreter against the
 //! reference implementations.
-//!
-//! These oracles deliberately run through the deprecated `select*` shims:
-//! they pin the historical free-function surface to the `Session`
-//! implementation underneath (see `tests/session.rs` for the
-//! `Session`-native equivalents).
-#![allow(deprecated)]
 
 use hardboiled_repro::apps::conv1d::Conv1d;
 use hardboiled_repro::apps::conv2d::Conv2d;
@@ -25,27 +19,27 @@ use hardboiled_repro::apps::harness::{execute, max_rel_error};
 use hardboiled_repro::apps::matmul_amx::{AmxMatmul, Layout, Variant};
 use hardboiled_repro::apps::resample_int::{Downsample, Upsample};
 use hardboiled_repro::hardboiled::postprocess::normalize_temps;
-use hardboiled_repro::hardboiled::selector::{select, select_batched_many, SelectorConfig};
 use hardboiled_repro::hardboiled::{Batching, Session};
 use hardboiled_repro::lang::lower::lower;
 use hardboiled_repro::lang::Pipeline;
 
+/// The shared-e-graph session (builder defaults otherwise).
+fn batched() -> Session {
+    Session::builder()
+        .batching(Batching::Batched)
+        .build()
+        .unwrap()
+}
+
 /// Selects the pipeline through both modes and asserts equivalence.
 fn assert_batched_equivalent(name: &str, pipeline: &Pipeline) {
     let lowered = lower(pipeline).unwrap_or_else(|e| panic!("{name}: lowering failed: {e}"));
-    let (per_leaf, r_leaf) = select(
-        &lowered.stmt,
-        &lowered.placements,
-        &SelectorConfig::default(),
-    );
-    let (batched, r_batch) = select(
-        &lowered.stmt,
-        &lowered.placements,
-        &SelectorConfig::batched(),
-    );
+    let per_leaf = Session::default().compile_ir(&lowered.stmt, &lowered.placements);
+    let batched = batched().compile_ir(&lowered.stmt, &lowered.placements);
+    let (r_leaf, r_batch) = (per_leaf.report, batched.report);
     assert_eq!(
-        normalize_temps(&per_leaf.to_string()),
-        normalize_temps(&batched.to_string()),
+        normalize_temps(&per_leaf.program.to_string()),
+        normalize_temps(&batched.program.to_string()),
         "{name}: batched selection produced a different program"
     );
     assert_eq!(
@@ -123,8 +117,8 @@ fn resampling_workloads_select_identically() {
 
 #[test]
 fn whole_suite_batch_selects_identically() {
-    // `select_batched_many`: leaves of several different programs share
-    // one e-graph; every program must still come out byte-identical to
+    // `compile_ir_suite` on a batched session: leaves of several
+    // different programs share one e-graph; every program must still come out byte-identical to
     // its independent per-leaf selection.
     let pipelines = [
         Conv1d { n: 1024, k: 16 }.pipeline(true),
@@ -141,15 +135,15 @@ fn whole_suite_batch_selects_identically() {
     ];
     let lowereds: Vec<_> = pipelines.iter().map(|p| lower(p).unwrap()).collect();
     let programs: Vec<_> = lowereds.iter().map(|l| (&l.stmt, &l.placements)).collect();
-    let (outs, report) = select_batched_many(&programs, &SelectorConfig::batched());
+    let suite = batched().compile_ir_suite(&programs);
+    let (outs, report) = (suite.programs, suite.report);
     assert_eq!(outs.len(), lowereds.len());
     assert!(report.batch.is_some());
+    let per_leaf_session = Session::default();
     for (i, (lowered, out)) in lowereds.iter().zip(&outs).enumerate() {
-        let (per_leaf, _) = select(
-            &lowered.stmt,
-            &lowered.placements,
-            &SelectorConfig::default(),
-        );
+        let per_leaf = per_leaf_session
+            .compile_ir(&lowered.stmt, &lowered.placements)
+            .program;
         assert_eq!(
             normalize_temps(&per_leaf.to_string()),
             normalize_temps(&out.to_string()),
@@ -164,14 +158,10 @@ fn statements_without_movement_are_untouched_in_batched_mode() {
     // batched mode must return the tree unchanged with an empty report.
     let app = Conv1d { n: 256, k: 8 };
     let lowered = lower(&app.pipeline(false)).unwrap();
-    let (out, report) = select(
-        &lowered.stmt,
-        &lowered.placements,
-        &SelectorConfig::batched(),
-    );
-    assert_eq!(report.num_statements(), 0);
-    assert!(report.batch.is_none());
-    assert_eq!(out.to_string(), lowered.stmt.to_string());
+    let result = batched().compile_ir(&lowered.stmt, &lowered.placements);
+    assert_eq!(result.report.num_statements(), 0);
+    assert!(result.report.batch.is_none());
+    assert_eq!(result.program.to_string(), lowered.stmt.to_string());
 }
 
 #[test]
@@ -189,12 +179,7 @@ fn mixed_suite_batch_is_numerically_equivalent() {
         lower(&conv.pipeline_tc_unrolled()).unwrap(),
         lower(&gemm.pipeline(true)).unwrap(),
     ];
-    let suite = Session::builder()
-        .batching(Batching::Batched)
-        .build()
-        .unwrap()
-        .compile_suite(&lowereds)
-        .unwrap();
+    let suite = batched().compile_suite(&lowereds).unwrap();
     let per_leaf = Session::default();
     let check = |i: usize, inputs: &[(&str, &[f64])], want: &[f64], tolerance: f64| {
         let lowered = &lowereds[i];

@@ -1,7 +1,8 @@
 //! Concurrency suite: one shared [`Session`] (and the [`CompileService`]
 //! built on it) hammered from many threads must produce byte-identical
-//! programs to serial compilation, in both batching modes — sessions are
-//! immutable after build and the service adds no cross-request state.
+//! programs and equal engine run reports to serial compilation, in both
+//! batching modes — sessions are immutable after build and the service
+//! adds no cross-request state.
 //!
 //! The backpressure/cancellation half pins the service lifecycle: full
 //! per-target queues refuse with `Busy` without touching their
@@ -14,9 +15,12 @@ use std::time::{Duration, Instant};
 
 use hardboiled_repro::apps::conv1d::Conv1d;
 use hardboiled_repro::apps::gemm_wmma::GemmWmma;
+use hardboiled_repro::egraph::schedule::RunReport;
 use hardboiled_repro::hardboiled::postprocess::normalize_temps;
 use hardboiled_repro::hardboiled::session::{CompileError, IntoProgram, Program};
-use hardboiled_repro::hardboiled::{Batching, CompileService, ServiceError, Session};
+use hardboiled_repro::hardboiled::{
+    Batching, CompileResult, CompileService, ServiceError, Session,
+};
 use hardboiled_repro::lang::lower::{lower, Lowered};
 
 /// A small mixed pool (vector conv1d, unrolled conv1d, WMMA GEMM) — big
@@ -37,13 +41,24 @@ fn sources() -> Vec<Lowered> {
     ]
 }
 
-fn programs_via(session: &Session, sources: &[Lowered]) -> Vec<String> {
+/// What a compile must reproduce under any interleaving: the normalized
+/// program and the engine's run reports (the shared run when batched,
+/// then one per leaf), which hold only deterministic work counters.
+fn outcome(result: &CompileResult) -> (String, Vec<RunReport>) {
+    let report = &result.report;
+    let runs = report
+        .batch
+        .iter()
+        .chain(report.stmts.iter().map(|s| &s.eqsat))
+        .cloned()
+        .collect();
+    (normalize_temps(&result.program.to_string()), runs)
+}
+
+fn programs_via(session: &Session, sources: &[Lowered]) -> Vec<(String, Vec<RunReport>)> {
     sources
         .iter()
-        .map(|s| {
-            let result = session.compile(s).expect("source must compile");
-            normalize_temps(&result.program.to_string())
-        })
+        .map(|s| outcome(&session.compile(s).expect("source must compile")))
         .collect()
 }
 
@@ -68,7 +83,7 @@ fn shared_session_hammered_from_many_threads_matches_serial() {
                         let result = session.compile(source).expect("source must compile");
                         assert_eq!(
                             serial[i],
-                            normalize_temps(&result.program.to_string()),
+                            outcome(&result),
                             "thread {t} round {round} program {i} diverged from serial"
                         );
                     }
@@ -96,7 +111,7 @@ fn shared_per_leaf_session_hammered_from_many_threads_matches_serial() {
                     let result = session.compile(source).expect("source must compile");
                     assert_eq!(
                         serial[i],
-                        normalize_temps(&result.program.to_string()),
+                        outcome(&result),
                         "thread {t} program {i} diverged from serial"
                     );
                 }
@@ -131,7 +146,7 @@ fn service_hammered_by_many_submitters_matches_serial() {
                     let result = ticket.wait().expect("request must compile");
                     assert_eq!(
                         serial[i],
-                        normalize_temps(&result.program.to_string()),
+                        outcome(&result),
                         "submitter {t} request {i} diverged from serial"
                     );
                 }

@@ -7,7 +7,6 @@ use hardboiled_repro::accel::target::{ExtractionPolicy, ScalarTarget, SimTarget,
 use hardboiled_repro::apps::conv1d::Conv1d;
 use hardboiled_repro::apps::gemm_wmma::GemmWmma;
 use hardboiled_repro::apps::matmul_amx::{AmxMatmul, Layout, Variant};
-use hardboiled_repro::hardboiled::cost::HbCost;
 use hardboiled_repro::hardboiled::postprocess::normalize_temps;
 use hardboiled_repro::hardboiled::{Batching, BuildError, CompileError, DeviceCost, Session};
 use hardboiled_repro::lang::lower::lower;
@@ -116,54 +115,6 @@ fn lowering_failures_surface_as_compile_errors() {
 
 // ---------------------------------------------------------------------------
 // The device-derived cost model.
-
-#[test]
-fn device_derived_default_reproduces_hbcost_on_every_workload() {
-    // The acceptance keystone: the Session default (DeviceCost derived from
-    // the target's profile) must select byte-identical programs to the
-    // historical hardcoded HbCost on every pipeline-producing workload.
-    let pipelines: Vec<(String, Pipeline)> = vec![
-        ("conv1d".into(), Conv1d { n: 512, k: 16 }.pipeline(true)),
-        (
-            "conv1d_unrolled".into(),
-            Conv1d { n: 512, k: 32 }.pipeline_tc_unrolled(),
-        ),
-        (
-            "gemm".into(),
-            GemmWmma {
-                m: 32,
-                k: 32,
-                n: 32,
-            }
-            .pipeline(true),
-        ),
-        (
-            "amx_standard".into(),
-            AmxMatmul::default()
-                .pipeline(Layout::Standard, Variant::Reference)
-                .unwrap(),
-        ),
-        (
-            "amx_vnni".into(),
-            AmxMatmul::default()
-                .pipeline(Layout::Vnni, Variant::Reference)
-                .unwrap(),
-        ),
-    ];
-    let derived = Session::default();
-    let hardcoded = Session::builder().cost_model(HbCost).build().unwrap();
-    for (name, p) in &pipelines {
-        let lowered = lower(p).unwrap();
-        let a = derived.compile(&lowered).unwrap();
-        let b = hardcoded.compile(&lowered).unwrap();
-        assert_eq!(
-            normalize_temps(&a.program.to_string()),
-            normalize_temps(&b.program.to_string()),
-            "{name}: device-derived cost model diverged from HbCost"
-        );
-        assert!(a.report.all_lowered(), "{name}");
-    }
-}
 
 #[test]
 fn alternate_device_profile_changes_an_extraction_choice() {
@@ -347,32 +298,6 @@ fn shared_table_matches_worklist_per_root_on_suites() {
     // bank must have served repeated sub-dags instead of re-deriving them.
     assert!(ea.reused_readouts > 0, "shared table never reused anything");
     assert_eq!(eb.reused_readouts, 0, "worklist has no bank to reuse");
-}
-
-#[test]
-fn dag_cost_strategy_is_a_session_plugin() {
-    let lowered = lower(&Conv1d { n: 512, k: 16 }.pipeline(true)).unwrap();
-    let session = Session::builder()
-        .extractor(ExtractionPolicy::DagCost)
-        .build()
-        .unwrap();
-    assert_eq!(session.extraction_policy(), ExtractionPolicy::DagCost);
-    let result = session.compile(&lowered).unwrap();
-    let extraction = result
-        .report
-        .extraction
-        .as_ref()
-        .expect("saturated → report");
-    assert_eq!(extraction.strategy, "dag-cost");
-    // Charging shared subterms once must not un-lower the conv: intrinsic
-    // forms stay far below the movement penalty under either objective.
-    assert!(result.report.all_lowered());
-    // Dag costs price each root at no more than its tree cost.
-    let tree = Session::default().compile(&lowered).unwrap();
-    let tree_costs = tree.report.extraction.unwrap().root_costs;
-    for (dag, tree) in extraction.root_costs.iter().zip(&tree_costs) {
-        assert!(dag.unwrap() <= tree.unwrap(), "dag {dag:?} > tree {tree:?}");
-    }
 }
 
 // The lazy-rule-construction regression test lives in its own binary,
